@@ -1,18 +1,12 @@
-"""Benchmark: columnar kernel throughput on the active array backend.
+"""Benchmark: columnar kernel throughput.
 
-The tentpole claim of the columnar core: the vectorized classify
-(``spot``) and group-accumulate kernels clear **2M events/s** on the
-numpy backend -- versus the ~758k events/s ceiling of the per-row
-loops they replaced -- and beat the frozen row-wise reference by
-**>= 3x** on the same rows.  The equivalence property suite
+The tentpole claim of the columnar core: the vectorized numpy classify
+(``spot``) and group-accumulate kernels clear **2M events/s** --
+versus the ~758k events/s ceiling of the per-row loops they replaced
+-- and beat the frozen row-wise reference by **>= 3x** on the same
+rows.  The equivalence property suite
 (``tests/test_columnar_kernels.py``) licenses the speedup: these
 numbers only count because the kernels are proven bit-identical.
-
-The report records which backend produced each number (in the metric
-unit, ``events/s[numpy]`` vs ``events/s[python]``), so a bench-diff
-between reports from differently-equipped machines is legible.  The
-pure-Python twin is measured but not floored: it exists for
-portability, not speed.
 """
 
 from __future__ import annotations
@@ -20,16 +14,16 @@ from __future__ import annotations
 import random
 import time
 
-from repro.columnar import ops, reference
-from repro.columnar.backend import active_backend_name, numpy_available
+from repro.columnar import ops
 from repro.columnar.batch import BeaconBatch
+from tests import columnar_reference as reference
 
 import pytest
 
-#: Required classify throughput on the numpy backend, events/second.
+#: Required classify throughput, events/second.
 EVENTS_FLOOR = 2_000_000
 #: Required advantage of the vectorized kernels over the row-wise
-#: reference on identical rows (numpy backend).
+#: reference on identical rows.
 SPEEDUP_FLOOR = 3.0
 N_ROWS = 262_144
 ROUNDS = 5
@@ -76,56 +70,48 @@ def rows():
 
 
 def test_classify_kernel_throughput(rows, bench_record):
-    backend = active_backend_name()
-    batch = BeaconBatch.from_rows(rows, backend)
+    batch = BeaconBatch.from_rows(rows)
     best = _best_of(lambda: ops.spot_batch(batch, 3, 0.5))
     events_per_s = len(rows) / best
-    floored = backend == "numpy"
-    print(f"\nspot[{backend}]: {len(rows):,} events in {best * 1000:.0f} ms "
-          f"({events_per_s:,.0f} events/s, floor "
-          f"{EVENTS_FLOOR:,} on numpy)")
+    print(f"\nspot: {len(rows):,} events in {best * 1000:.0f} ms "
+          f"({events_per_s:,.0f} events/s, floor {EVENTS_FLOOR:,})")
     bench_record(
         "spot_events_per_s", events_per_s,
-        unit=f"events/s[{backend}]", higher_is_better=True,
-        threshold=EVENTS_FLOOR if floored else None,
+        unit="events/s", higher_is_better=True, threshold=EVENTS_FLOOR,
     )
-    if floored:
-        assert events_per_s >= EVENTS_FLOOR, (
-            f"numpy classify at {events_per_s:,.0f} events/s "
-            f"(need >= {EVENTS_FLOOR:,})"
-        )
+    assert events_per_s >= EVENTS_FLOOR, (
+        f"classify at {events_per_s:,.0f} events/s "
+        f"(need >= {EVENTS_FLOOR:,})"
+    )
 
 
 def test_group_accumulate_throughput(rows, bench_record):
-    backend = active_backend_name()
-    batch = BeaconBatch.from_rows(rows, backend)
+    batch = BeaconBatch.from_rows(rows)
     best = _best_of(
         lambda: ops.group_accumulate_beacons(batch, order="canonical")
     )
     events_per_s = len(rows) / best
-    print(f"\naccumulate[{backend}]: {events_per_s:,.0f} events/s")
+    print(f"\naccumulate: {events_per_s:,.0f} events/s")
     bench_record(
         "accumulate_events_per_s", events_per_s,
-        unit=f"events/s[{backend}]", higher_is_better=True,
+        unit="events/s", higher_is_better=True,
     )
 
 
 def test_ingest_batch_build_throughput(rows, bench_record):
     """Row -> column conversion (the ingest boundary cost)."""
-    backend = active_backend_name()
-    best = _best_of(lambda: BeaconBatch.from_rows(rows, backend))
+    best = _best_of(lambda: BeaconBatch.from_rows(rows))
     events_per_s = len(rows) / best
-    print(f"\nbatch build[{backend}]: {events_per_s:,.0f} events/s")
+    print(f"\nbatch build: {events_per_s:,.0f} events/s")
     bench_record(
         "batch_build_events_per_s", events_per_s,
-        unit=f"events/s[{backend}]", higher_is_better=True,
+        unit="events/s", higher_is_better=True,
     )
 
 
-@pytest.mark.skipif(not numpy_available(), reason="speedup pin needs numpy")
 def test_vectorized_beats_rowwise_reference(rows, bench_record):
     """The >= 3x claim, measured against the frozen per-row arm."""
-    batch = BeaconBatch.from_rows(rows, "numpy")
+    batch = BeaconBatch.from_rows(rows)
 
     def columnar():
         spot, partial = ops.spot_batch(batch, 3, 0.5)

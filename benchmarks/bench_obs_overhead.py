@@ -19,8 +19,8 @@ overhead.  The pin is intentionally looser than the observed ratio
 (~1.00-1.01 on the dev box) but tight enough that a per-event lock
 round-trip (the design this layer explicitly avoids) would fail it.
 
-cProfile (``--profile``) is *not* covered by this budget: deterministic
-profiling costs 1.3-2x and is opt-in for exactly that reason.
+A deterministic profile (``python -m cProfile -m repro.cli ...``) is
+*not* covered by this budget: it costs 1.3-2x.
 """
 
 from __future__ import annotations

@@ -57,11 +57,10 @@ def test_ingest_classify_throughput(lab, bench_record):
 
     Times exactly what the fused pipeline runs per shard -- column
     adoption plus the vectorized spot kernel -- over the lab's beacon
-    rows tiled to a census-sized batch.  On the numpy backend the
-    stage must clear 3x the ~758k events/s the per-row loops managed.
+    rows tiled to a census-sized batch.  The stage must clear 3x the
+    ~758k events/s the per-row loops managed.
     """
     from repro.columnar import ops as columnar_ops
-    from repro.columnar.backend import active_backend_name
     from repro.columnar.batch import BeaconBatch
     from repro.parallel.sharding import beacon_rows
 
@@ -83,30 +82,26 @@ def test_ingest_classify_throughput(lab, bench_record):
         name: [row[position] for row in rows]
         for position, name in enumerate(names)
     }
-    backend = active_backend_name()
-
     def stage():
-        batch = BeaconBatch.from_columns(columns, backend)
+        batch = BeaconBatch.from_columns(columns)
         return columnar_ops.spot_batch(
             batch, lab.spotter.min_api_hits, lab.spotter.threshold
         )
 
     best, _ = _best_of(stage)
     events_per_s = len(rows) / best
-    floored = backend == "numpy"
-    print(f"\ningest+classify[{backend}]: {len(rows):,} events in "
+    print(f"\ningest+classify: {len(rows):,} events in "
           f"{best * 1000:.0f} ms ({events_per_s:,.0f} events/s, "
-          f"floor {INGEST_CLASSIFY_FLOOR:,} on numpy)")
+          f"floor {INGEST_CLASSIFY_FLOOR:,})")
     bench_record(
         "ingest_classify_events_per_s", events_per_s,
-        unit=f"events/s[{backend}]", higher_is_better=True,
-        threshold=INGEST_CLASSIFY_FLOOR if floored else None,
+        unit="events/s", higher_is_better=True,
+        threshold=INGEST_CLASSIFY_FLOOR,
     )
-    if floored:
-        assert events_per_s >= INGEST_CLASSIFY_FLOOR, (
-            f"ingest/classify at {events_per_s:,.0f} events/s "
-            f"(need >= {INGEST_CLASSIFY_FLOOR:,} = 3x row-wise baseline)"
-        )
+    assert events_per_s >= INGEST_CLASSIFY_FLOOR, (
+        f"ingest/classify at {events_per_s:,.0f} events/s "
+        f"(need >= {INGEST_CLASSIFY_FLOOR:,} = 3x row-wise baseline)"
+    )
 
 
 def _best_of(fn, rounds=ROUNDS):

@@ -29,7 +29,6 @@ import random
 import time
 
 from repro.columnar import ops
-from repro.columnar.backend import active_backend_name
 from repro.columnar.batch import BeaconBatch
 from repro.obs.metrics import reset_global_registry
 from repro.obs.resources import ResourceSampler, read_statm
@@ -84,11 +83,10 @@ def _timed(fn) -> float:
 
 
 def test_sampler_and_profiler_overhead(bench_record):
-    backend = active_backend_name()
     rows = _synthetic_rows(N_ROWS)
 
     def workload():
-        batch = BeaconBatch.from_rows(rows, backend)
+        batch = BeaconBatch.from_rows(rows)
         spot, _partial = ops.spot_batch(batch, 3, 0.5)
         ops.group_accumulate_beacons(spot.batch, order="canonical")
 
@@ -102,7 +100,7 @@ def test_sampler_and_profiler_overhead(bench_record):
             profiler = SamplingProfiler()
             sampler.install()
             sampler.start(interval_s=0.05)
-            assert profiler.start(), "profiler slot must be free"
+            profiler.start()
             try:
                 resourced = min(resourced, _timed(workload))
             finally:
@@ -115,7 +113,7 @@ def test_sampler_and_profiler_overhead(bench_record):
         reset_global_registry()
     ratio = resourced / plain if plain > 0 else 1.0
     print(
-        f"\nfused ingest+classify[{backend}]: resourced "
+        f"\nfused ingest+classify: resourced "
         f"{resourced * 1000:.1f} ms vs plain {plain * 1000:.1f} ms "
         f"({ratio:.3f}x)"
     )

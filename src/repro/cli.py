@@ -128,13 +128,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
              "results stay identical either way",
     )
     parser.add_argument(
-        "--array-backend", default=None, metavar="NAME",
-        choices=["auto", "numpy", "python"],
-        help="columnar kernel backend (default: CELLSPOT_ARRAY_BACKEND "
-             "env var, else auto-detect numpy); results are "
-             "bit-identical on either backend",
-    )
-    parser.add_argument(
         "--log-level", default=None, metavar="LEVEL",
         choices=["debug", "info", "warning", "error"],
         help="enable structured logging on stderr at LEVEL",
@@ -156,47 +149,23 @@ def _add_obs(parser: argparse.ArgumentParser) -> None:
              "JSON (chrome://tracing, Perfetto)",
     )
     parser.add_argument(
-        "--profile", action="store_true",
-        help="wrap the run in cProfile and write a top-N cumulative "
-             "report (see --profile-out)",
-    )
-    parser.add_argument(
-        "--profile-out", default=None, metavar="FILE",
-        help="profile report path (default: the --checkpoint dir when "
-             "one is given, else next to --metrics-out, else "
-             "./profile.txt)",
-    )
-    parser.add_argument(
         "--prof-sample", action="store_true",
         help="run the wall-clock sampling profiler (~100Hz stack "
              "sampler, <5%% overhead) and write flamegraph collapsed "
-             "stacks + a Chrome trace; mutually exclusive with "
-             "--profile (cProfile wins the arbitration slot)",
+             "stacks + a Chrome trace",
     )
     parser.add_argument(
         "--prof-sample-out", default=None, metavar="FILE",
         help="collapsed-stack output path (a sibling FILE.trace.json "
-             "Chrome trace is written too; default mirrors "
-             "--profile-out with profile.collapsed)",
+             "Chrome trace is written too; default: the --checkpoint "
+             "dir when one is given, else next to --metrics-out, else "
+             "./profile.collapsed)",
     )
     parser.add_argument(
         "--prof-sample-interval", type=_positive_float, default=0.01,
         metavar="SECONDS",
         help="seconds between stack samples (default: 0.01 = 100Hz)",
     )
-
-
-def _profile_out(args: argparse.Namespace) -> Path:
-    """Resolve where the ``--profile`` report should land."""
-    if getattr(args, "profile_out", None):
-        return Path(args.profile_out)
-    checkpoint = getattr(args, "checkpoint", None)
-    if checkpoint:
-        return Path(checkpoint) / "profile.txt"
-    metrics_out = getattr(args, "metrics_out", None)
-    if metrics_out:
-        return Path(metrics_out).with_name("profile.txt")
-    return Path("profile.txt")
 
 
 def _prof_sample_out(args: argparse.Namespace) -> Path:
@@ -527,8 +496,11 @@ def _make_service(args: argparse.Namespace, engine,
                   alert_engine=None, drift_monitor=None):
     from repro.lab import scaled_filter_config
     from repro.obs.metrics import global_registry
-    from repro.serve.metrics import service_metrics
-    from repro.serve.service import CellSpotService, ServiceConfig
+    from repro.serve.service import (
+        CellSpotService,
+        ServiceConfig,
+        service_metrics,
+    )
 
     demand = as_classes = filter_config = None
     if args.with_demand:
@@ -2235,10 +2207,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "array_backend", None):
-        from repro.columnar.backend import set_backend
-
-        set_backend(args.array_backend)
     if getattr(args, "log_level", None):
         from repro.runtime.logging import configure_logging, set_run_id
 
@@ -2246,14 +2214,11 @@ def main(argv=None) -> int:
         set_run_id()
     from repro.obs import observed_command
 
-    profile = bool(getattr(args, "profile", False))
     prof_sample = bool(getattr(args, "prof_sample", False))
     with observed_command(
         args.command,
         metrics_out=getattr(args, "metrics_out", None),
         trace_out=getattr(args, "trace_out", None),
-        profile=profile,
-        profile_out=_profile_out(args) if profile else None,
         prof_sample=prof_sample,
         prof_sample_out=_prof_sample_out(args) if prof_sample else None,
         prof_sample_interval_s=getattr(args, "prof_sample_interval", 0.01),

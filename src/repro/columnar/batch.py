@@ -1,16 +1,13 @@
 """Record batches: the columnar shape of the pipeline's hot data.
 
-A record batch is a set of parallel columns -- backend-native integer
-/ float buffers plus plain Python lists for strings -- with one row
-per record.  128-bit prefix values are split into two unsigned 64-bit
-halves (``value_hi`` / ``value_lo``) so both backends index them with
+A record batch is a set of parallel columns -- numpy integer / float
+arrays plus plain Python lists for strings -- with one row per
+record.  128-bit prefix values are split into two unsigned 64-bit
+halves (``value_hi`` / ``value_lo``) so the kernels index them with
 fixed-width arithmetic; :meth:`BeaconBatch.prefix_at` reassembles the
 :class:`~repro.net.prefix.Prefix` only at the Python-object boundary.
-
-Batches know which backend built their columns (``backend``), so code
-that receives a pickled batch from a pool worker dispatches kernels by
-the batch's own name instead of trusting process-global state --
-worker and parent can never disagree about how to read a column.
+Methods import :mod:`repro.columnar.kernels_np` on first use, so
+importing this module does not load numpy.
 
 Layout (one row = one compact row of :mod:`repro.parallel.sharding`):
 
@@ -32,7 +29,7 @@ column         kind      meaning
 =============  ========  ==========================================
 
 ``int64*`` columns promote to exact Python-int storage when a value
-exceeds the int64 range (see the kernel modules).
+exceeds the int64 range (see :mod:`repro.columnar.kernels_np`).
 """
 
 from __future__ import annotations
@@ -54,17 +51,10 @@ def _join_value(hi: int, lo: int) -> int:
     return (hi << 64) | lo
 
 
-def _kernels(backend: str):
-    from repro.columnar.backend import kernels_for
-
-    return kernels_for(backend)
-
-
 @dataclass
 class BeaconBatch:
     """Columnar beacon rows (one row per subnet's counts)."""
 
-    backend: str
     idx: Sequence[int]
     family: Sequence[int]
     value_hi: Sequence[int]
@@ -92,8 +82,10 @@ class BeaconBatch:
         )
 
     @classmethod
-    def from_rows(cls, rows: Iterable[tuple], backend: str) -> "BeaconBatch":
+    def from_rows(cls, rows: Iterable[tuple]) -> "BeaconBatch":
         """Build from compact ``BeaconRow`` tuples (see sharding)."""
+        from repro.columnar import kernels_np as k
+
         idx: List[int] = []
         family: List[int] = []
         hi: List[int] = []
@@ -115,9 +107,7 @@ class BeaconBatch:
             hits.append(h)
             api.append(ap)
             cell.append(ce)
-        k = _kernels(backend)
         return cls(
-            backend=backend,
             idx=k.index_col(idx),
             family=k.index_col(family),
             value_hi=k.u64_col(hi),
@@ -131,24 +121,24 @@ class BeaconBatch:
         )
 
     @classmethod
-    def from_dataset(cls, beacons, backend: str) -> "BeaconBatch":
+    def from_dataset(cls, beacons) -> "BeaconBatch":
         """Columns straight from a ``BeaconDataset`` (dataset order)."""
         from repro.parallel.sharding import beacon_rows
 
-        return cls.from_rows(beacon_rows(beacons), backend)
+        return cls.from_rows(beacon_rows(beacons))
 
     @classmethod
-    def from_columns(cls, columns, backend: str) -> "BeaconBatch":
+    def from_columns(cls, columns) -> "BeaconBatch":
         """Adopt decoded shard-file columns (full ``value`` ints).
 
         ``columns`` maps the cache schema names (``idx`` .. ``cell``)
         to equal-length lists; the 128-bit ``value`` column is split
         into halves here.
         """
+        from repro.columnar import kernels_np as k
+
         values = columns["value"]
-        k = _kernels(backend)
         return cls(
-            backend=backend,
             idx=k.index_col(columns["idx"]),
             family=k.index_col(columns["family"]),
             value_hi=k.u64_col([v >> 64 for v in values]),
@@ -163,7 +153,8 @@ class BeaconBatch:
 
     def to_rows(self) -> List[tuple]:
         """Back to compact rows (tests, legacy interop)."""
-        k = _kernels(self.backend)
+        from repro.columnar import kernels_np as k
+
         return [
             (i, f, _join_value(hi, lo), ln, a, c, h, ap, ce)
             for i, f, hi, lo, ln, a, c, h, ap, ce in zip(
@@ -177,9 +168,9 @@ class BeaconBatch:
 
     def take(self, indices) -> "BeaconBatch":
         """Row-gather (shard split, order restore)."""
-        k = _kernels(self.backend)
+        from repro.columnar import kernels_np as k
+
         return BeaconBatch(
-            backend=self.backend,
             idx=k.take(self.idx, indices),
             family=k.take(self.family, indices),
             value_hi=k.take(self.value_hi, indices),
@@ -195,14 +186,14 @@ class BeaconBatch:
     @classmethod
     def concat(cls, batches: Sequence["BeaconBatch"]) -> "BeaconBatch":
         """Column-wise concatenation (the zero-copy shard merge)."""
+        from repro.columnar import kernels_np as k
+
         if not batches:
             raise ValueError("nothing to concatenate")
-        k = _kernels(batches[0].backend)
         country: List[str] = []
         for batch in batches:
             country.extend(batch.country)
         return cls(
-            backend=batches[0].backend,
             idx=k.concat([b.idx for b in batches]),
             family=k.concat([b.family for b in batches]),
             value_hi=k.concat([b.value_hi for b in batches]),
@@ -227,9 +218,11 @@ class SpotBatch:
         return len(self.label)
 
     def take(self, indices) -> "SpotBatch":
+        from repro.columnar import kernels_np as k
+
         return SpotBatch(
             batch=self.batch.take(indices),
-            label=_kernels(self.batch.backend).take_list(self.label, indices),
+            label=k.take_list(self.label, indices),
         )
 
     @classmethod
@@ -249,7 +242,6 @@ class SpotBatch:
 class DemandBatch:
     """Columnar demand rows."""
 
-    backend: str
     idx: Sequence[int]
     family: Sequence[int]
     value_hi: Sequence[int]
@@ -267,7 +259,9 @@ class DemandBatch:
         return (self.family, self.value_hi, self.value_lo, self.length)
 
     @classmethod
-    def from_rows(cls, rows: Iterable[tuple], backend: str) -> "DemandBatch":
+    def from_rows(cls, rows: Iterable[tuple]) -> "DemandBatch":
+        from repro.columnar import kernels_np as k
+
         idx: List[int] = []
         family: List[int] = []
         hi: List[int] = []
@@ -285,9 +279,7 @@ class DemandBatch:
             asn.append(a)
             country.append(c)
             du.append(d)
-        k = _kernels(backend)
         return cls(
-            backend=backend,
             idx=k.index_col(idx),
             family=k.index_col(family),
             value_hi=k.u64_col(hi),
@@ -299,18 +291,18 @@ class DemandBatch:
         )
 
     @classmethod
-    def from_dataset(cls, demand, backend: str) -> "DemandBatch":
+    def from_dataset(cls, demand) -> "DemandBatch":
         from repro.parallel.sharding import demand_rows
 
-        return cls.from_rows(demand_rows(demand), backend)
+        return cls.from_rows(demand_rows(demand))
 
     @classmethod
-    def from_columns(cls, columns, backend: str) -> "DemandBatch":
+    def from_columns(cls, columns) -> "DemandBatch":
         """Adopt decoded shard-file columns (full ``value`` ints)."""
+        from repro.columnar import kernels_np as k
+
         values = columns["value"]
-        k = _kernels(backend)
         return cls(
-            backend=backend,
             idx=k.index_col(columns["idx"]),
             family=k.index_col(columns["family"]),
             value_hi=k.u64_col([v >> 64 for v in values]),
@@ -322,7 +314,8 @@ class DemandBatch:
         )
 
     def to_rows(self) -> List[tuple]:
-        k = _kernels(self.backend)
+        from repro.columnar import kernels_np as k
+
         return [
             (i, f, _join_value(hi, lo), ln, a, c, d)
             for i, f, hi, lo, ln, a, c, d in zip(
@@ -334,9 +327,9 @@ class DemandBatch:
         ]
 
     def take(self, indices) -> "DemandBatch":
-        k = _kernels(self.backend)
+        from repro.columnar import kernels_np as k
+
         return DemandBatch(
-            backend=self.backend,
             idx=k.take(self.idx, indices),
             family=k.take(self.family, indices),
             value_hi=k.take(self.value_hi, indices),
@@ -349,14 +342,14 @@ class DemandBatch:
 
     @classmethod
     def concat(cls, batches: Sequence["DemandBatch"]) -> "DemandBatch":
+        from repro.columnar import kernels_np as k
+
         if not batches:
             raise ValueError("nothing to concatenate")
-        k = _kernels(batches[0].backend)
         country: List[str] = []
         for batch in batches:
             country.extend(batch.country)
         return cls(
-            backend=batches[0].backend,
             idx=k.concat([b.idx for b in batches]),
             family=k.concat([b.family for b in batches]),
             value_hi=k.concat([b.value_hi for b in batches]),

@@ -1,7 +1,7 @@
-"""numpy columnar kernels -- the fast backend.
+"""numpy columnar kernels.
 
-Bit-identical to :mod:`repro.columnar.kernels_py` by contract (the
-property suite enforces it); every deviation risk is handled
+Bit-identical to the per-row reference implementations by contract
+(the property suite enforces it); every deviation risk is handled
 explicitly:
 
 * **Integer width.**  Count columns load as ``int64``; values outside
@@ -20,7 +20,7 @@ explicitly:
   sequentially in stable-sort order -- slower than ``reduceat`` but
   equal to the per-key accumulators of the row-wise code.
 * **Sort stability.**  ``np.lexsort`` is stable, so grouping
-  permutations match the twin's ``sorted`` exactly.
+  permutations match a ``sorted`` over key tuples exactly.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-NAME = "numpy"
-
-_I64_MIN = -(2 ** 63)
 _I64_MAX = 2 ** 63 - 1
 #: Largest integer exactly representable as float64; division operands
 #: beyond it take the exact scalar path.
@@ -92,10 +89,6 @@ def to_list(col) -> list:
     return list(col)
 
 
-def length(col) -> int:
-    return len(col)
-
-
 def concat(cols: Sequence[np.ndarray]) -> np.ndarray:
     """Concatenate columns; mixed int64/object degrades to object."""
     cols = list(cols)
@@ -133,7 +126,7 @@ def lex_argsort(keys: Sequence[np.ndarray]) -> np.ndarray:
     if not keys:
         return np.empty(0, dtype=np.intp)
     # np.lexsort treats the *last* key as primary; reverse to match
-    # the twin's tuple comparison order.
+    # tuple comparison order.
     return np.lexsort(tuple(reversed([np.asarray(k) for k in keys])))
 
 
@@ -266,8 +259,10 @@ def spot(
 ) -> Tuple[np.ndarray, List[bool], List[int], List[int]]:
     """Ratio + label + per-AS hit rollup for one record batch.
 
-    Same contract as the twin: ``(keep, labels, uniq_asns, asn_hits)``
-    with labels evaluating the serial classifier's float expression.
+    Returns ``(keep, labels, uniq_asns, asn_hits)``: kept row indices
+    (``api >= min_api_hits``), their labels evaluating the serial
+    classifier's float expression, and per-AS hit sums over all rows
+    in ascending-ASN order.
     """
     asn = np.asarray(asn)
     hits_arr = np.asarray(hits)

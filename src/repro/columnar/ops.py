@@ -1,13 +1,12 @@
-"""Domain operations over record batches, backend-agnostic.
+"""Domain operations over record batches.
 
 Everything here composes the primitive kernels (``lex_argsort`` /
 ``group_bounds`` / ``segment_*`` / ``spot`` / ``shard_index``) into
 the operations the pipeline actually runs: classify a batch, merge
 per-AS partials, group-accumulate subnet counts, partition by shard
-hash, restore dataset order.  The kernels are resolved from each
-batch's own ``backend`` name, so an operation applied to a batch a
-pool worker pickled back always reads the columns the way they were
-written.
+hash, restore dataset order.  Each operation imports
+:mod:`repro.columnar.kernels_np` when called, so importing this
+module does not load numpy.
 
 Ordering contracts (the bit-identity currency of this codebase):
 
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.columnar.backend import kernels_for
 from repro.columnar.batch import BeaconBatch, DemandBatch, SpotBatch, _join_value
 
 
@@ -34,13 +32,14 @@ def spot_batch(
     """Classify one beacon batch: kept rows + labels + per-AS hits.
 
     The columnar kernel behind the ``_spot_shard`` pool worker
-    (replacing its old per-row loop, frozen as
-    :func:`repro.columnar.reference.spot_rows`);
-    returns the kept rows (``api >= min_api_hits``, batch order) with
-    their labels, plus the batch's ``(asns, hit_sums)`` partial
-    (ascending ASN, *all* rows counted).
+    (replacing its old per-row loop, frozen as ``spot_rows`` in the
+    test suite's row-wise reference); returns the kept rows
+    (``api >= min_api_hits``, batch order) with their labels, plus the
+    batch's ``(asns, hit_sums)`` partial (ascending ASN, *all* rows
+    counted).
     """
-    k = kernels_for(batch.backend)
+    from repro.columnar import kernels_np as k
+
     keep, labels, uniq_asns, asn_hits = k.spot(
         batch.asn, batch.hits, batch.api, batch.cell,
         min_api_hits, threshold,
@@ -49,14 +48,15 @@ def spot_batch(
 
 
 def merge_asn_partials(
-    partials: Sequence[Tuple[List[int], List[int]]], backend: str
+    partials: Sequence[Tuple[List[int], List[int]]]
 ) -> Dict[int, int]:
     """Sum per-shard ``(asns, hits)`` partials into one dict.
 
     Ascending-ASN output order; integer sums are order-independent so
     any shard interleave reduces to the same dict.
     """
-    k = kernels_for(backend)
+    from repro.columnar import kernels_np as k
+
     asns = k.int_col([a for asns_part, _ in partials for a in asns_part])
     hits = k.int_col([h for _, hits_part in partials for h in hits_part])
     perm = k.lex_argsort([asns])
@@ -68,13 +68,15 @@ def merge_asn_partials(
 
 def sort_by_idx(batch):
     """Restore original dataset order (after any shard interleave)."""
-    k = kernels_for(batch.backend)
+    from repro.columnar import kernels_np as k
+
     return batch.take(k.lex_argsort([batch.idx]))
 
 
 def sort_spot_by_idx(spot: SpotBatch) -> SpotBatch:
     """Restore a concatenated spot batch to dataset order, labels too."""
-    k = kernels_for(spot.batch.backend)
+    from repro.columnar import kernels_np as k
+
     return spot.take(k.lex_argsort([spot.batch.idx]))
 
 
@@ -102,7 +104,8 @@ def group_accumulate_beacons(
     the same ``conflicting metadata for <subnet>`` error the row-wise
     merges raise.  ``idx`` carries each group's first row index.
     """
-    k = kernels_for(batch.backend)
+    from repro.columnar import kernels_np as k
+
     keys = batch.key_columns
     perm = k.lex_argsort(list(keys))
     starts = k.group_bounds(list(keys), perm)
@@ -132,7 +135,6 @@ def group_accumulate_beacons(
     rep = [rep_rows[g] for g in positions]
     rep_col = k.index_col(rep)
     return BeaconBatch(
-        backend=batch.backend,
         idx=k.take(batch.idx, rep_col),
         family=k.take(batch.family, rep_col),
         value_hi=k.take(batch.value_hi, rep_col),
@@ -173,7 +175,8 @@ def find_duplicate_key(batch) -> Optional[Tuple[int, int, int]]:
     smallest row position -- the repeat a row-wise ``seen``-set loop
     notices first.
     """
-    k = kernels_for(batch.backend)
+    from repro.columnar import kernels_np as k
+
     keys = list(batch.key_columns)
     perm = k.lex_argsort(keys)
     starts = k.group_bounds(keys, perm)
@@ -204,7 +207,8 @@ def find_duplicate_key(batch) -> Optional[Tuple[int, int, int]]:
 def partition_batch(batch, shards: int) -> list:
     """Split a batch into prefix-hash partitions (original row order
     preserved inside each shard, like the row-wise partitioner)."""
-    k = kernels_for(batch.backend)
+    from repro.columnar import kernels_np as k
+
     if shards == 1:
         return [batch]
     sidx = k.shard_index(
@@ -231,7 +235,8 @@ def demand_du_by_asn(batch: DemandBatch) -> Dict[int, float]:
     the per-key ``+=`` order of ``DemandDataset.du_by_asn`` exactly;
     output dict is in ascending-ASN order.
     """
-    k = kernels_for(batch.backend)
+    from repro.columnar import kernels_np as k
+
     perm = k.lex_argsort([batch.asn])
     starts = k.group_bounds([batch.asn], perm)
     uniq = k.segment_first(batch.asn, perm, starts)

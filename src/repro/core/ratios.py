@@ -93,11 +93,10 @@ class RatioTable:
         Runs as one columnar group-reduce (:mod:`repro.columnar`):
         records from all tables become one record batch, a stable
         lexsort groups equal subnets, and exact integer segment sums
-        replace the per-record dict walk of :meth:`merge_rowwise`
-        (kept as the reference the equivalence suite checks against).
+        replace a per-record dict walk (kept as the row-wise reference
+        the equivalence suite checks against).
         """
         from repro.columnar import ops as columnar_ops
-        from repro.columnar.backend import active_backend_name
         from repro.columnar.batch import BeaconBatch
 
         rows = []
@@ -118,7 +117,7 @@ class RatioTable:
                     )
                 )
                 index += 1
-        batch = BeaconBatch.from_rows(rows, active_backend_name())
+        batch = BeaconBatch.from_rows(rows)
         merged = columnar_ops.group_accumulate_beacons(
             batch, order="canonical", check_meta=True
         )
@@ -135,42 +134,6 @@ class RatioTable:
                 merged.to_rows()
             )
         )
-
-    @classmethod
-    def merge_rowwise(cls, tables: Iterable["RatioTable"]) -> "RatioTable":
-        """Row-at-a-time :meth:`merge` (reference arm).
-
-        The dict-accumulation loop the columnar merge replaced;
-        property tests pin ``merge == merge_rowwise`` on both array
-        backends.
-        """
-        totals: Dict[Prefix, RatioRecord] = {}
-        for table in tables:
-            for record in table:
-                current = totals.get(record.subnet)
-                if current is None:
-                    totals[record.subnet] = record
-                    continue
-                if (current.asn, current.country) != (
-                    record.asn,
-                    record.country,
-                ):
-                    raise ValueError(
-                        f"conflicting metadata for {record.subnet}"
-                    )
-                totals[record.subnet] = RatioRecord(
-                    subnet=record.subnet,
-                    asn=record.asn,
-                    country=record.country,
-                    api_hits=current.api_hits + record.api_hits,
-                    cellular_hits=current.cellular_hits + record.cellular_hits,
-                    hits=current.hits + record.hits,
-                )
-        ordered = sorted(
-            totals.values(),
-            key=lambda r: (r.subnet.family, r.subnet.value, r.subnet.length),
-        )
-        return cls(ordered)
 
     @classmethod
     def from_beacons(

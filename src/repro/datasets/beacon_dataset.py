@@ -168,16 +168,14 @@ class BeaconDataset:
         Hits are folded one bounded record batch at a time through the
         columnar group-accumulate kernel (:mod:`repro.columnar`) in
         first-seen order, so the resulting dataset is identical --
-        iteration order, metadata, browser counters -- to the per-hit
-        :meth:`from_hits_rowwise` reference.
+        iteration order, metadata, browser counters -- to folding each
+        hit through :meth:`observe_hit` (the row-wise reference).
         """
         from repro.cdn.logs import iter_batched
+        from repro.columnar import kernels_np as kernels
         from repro.columnar import ops as columnar_ops
-        from repro.columnar.backend import active_backend_name, kernels_for
         from repro.columnar.batch import BeaconBatch
 
-        backend = active_backend_name()
-        kernels = kernels_for(backend)
         dataset = cls(month=month)
         by_subnet = dataset._by_subnet
         browser_ids: Dict[Browser, int] = {}
@@ -221,7 +219,6 @@ class BeaconDataset:
                 browser_id.append(ident)
             n = len(subnets)
             batch = BeaconBatch(
-                backend=backend,
                 idx=kernels.index_col(range(n)),
                 family=kernels.index_col(family),
                 value_hi=kernels.u64_col(value_hi),
@@ -273,30 +270,6 @@ class BeaconDataset:
                     browsers_seen[int(ident)], int(browser_hits),
                     int(browser_api),
                 )
-        return dataset
-
-    @classmethod
-    def from_hits_rowwise(cls, month: str, hits) -> "BeaconDataset":
-        """Per-hit :meth:`from_hits` (reference arm).
-
-        The ``observe_hit`` loop the columnar ingest replaced; the
-        equivalence suite pins ``from_hits == from_hits_rowwise`` on
-        both array backends.
-        """
-        dataset = cls(month=month)
-        for hit in hits:
-            if hit.month != month:
-                raise ValueError(
-                    f"hit from {hit.month} in a {month} collection"
-                )
-            dataset.observe_hit(
-                subnet=hit.subnet,
-                asn=hit.asn,
-                country=hit.country,
-                browser=hit.browser,
-                api_enabled=hit.api_enabled,
-                cellular_labeled=hit.is_cellular_labeled,
-            )
         return dataset
 
     @classmethod

@@ -3,8 +3,7 @@
 Every execution layer -- batch :class:`~repro.lab.Lab` runs, the
 sharded :mod:`repro.parallel` pipeline, the :mod:`repro.stream`
 engine, and the :mod:`repro.serve` front end -- records into the same
-small, dependency-free metric types defined here (they started life in
-``repro.serve.metrics``, which now re-exports them):
+small, dependency-free metric types defined here:
 
 - :class:`Counter` -- monotonically increasing totals;
 - :class:`Gauge` -- last-written values (queue depths, rates);
@@ -44,8 +43,7 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Default latency buckets (seconds): 10us .. 1s, then overflow.
-#: Defined once here; ``repro.serve.metrics`` re-exports it.  All
-#: three presets are frozen tuples and validated (sorted, duplicate-
+#: All three presets are frozen tuples and validated (sorted, duplicate-
 #: free) by :func:`validate_bounds` at registry time, so a preset
 #: typo -- or a caller-supplied list with repeated edges, which would
 #: silently create a dead bucket -- fails loudly at registration.

@@ -51,7 +51,6 @@ from repro.net.prefix import Prefix
 from repro.obs.trace import span
 
 from repro.columnar import ops as columnar_ops
-from repro.columnar.backend import active_backend_name
 from repro.columnar.batch import BeaconBatch, DemandBatch, SpotBatch
 
 from repro.parallel.cache import (
@@ -69,8 +68,8 @@ def _spot_shard(
 
     One :func:`repro.columnar.ops.spot_batch` call over the shard's
     record batch -- the vectorized replacement for the per-row loop
-    this worker used to run (frozen as
-    :func:`repro.columnar.reference.spot_rows`), bit-identical to it
+    this worker used to run (frozen as ``spot_rows`` in the test
+    suite's row-wise reference), bit-identical to it
     by the kernel equivalence contract.  Keeps its pre-columnar name
     so the ``shard.spot_shard`` span the executor derives from it
     stays stable for trace consumers.  Returns the kept rows as a
@@ -91,7 +90,7 @@ def _fetch_shard(args: Tuple[str, str]) -> Dict[str, list]:
 
 
 def _spot_beacon_shard_file(
-    args: Tuple[str, str, str, int, float]
+    args: Tuple[str, str, int, float]
 ) -> Tuple[SpotBatch, Tuple[List[int], List[int]]]:
     """Stream one cached BEACON shard and spot it batch-at-a-time
     (pool worker).
@@ -100,33 +99,33 @@ def _spot_beacon_shard_file(
     and released before the next one is read -- peak memory is one
     batch plus the kept rows, however large the shard file grows.
     """
-    path, sha256_hex, backend, min_api_hits, threshold = args
+    path, sha256_hex, min_api_hits, threshold = args
     spots: List[SpotBatch] = []
     partials: List[Tuple[List[int], List[int]]] = []
     for columns in iter_shard_batches(path, sha256_hex):
-        batch = BeaconBatch.from_columns(columns, backend)
+        batch = BeaconBatch.from_columns(columns)
         spot, partial = columnar_ops.spot_batch(batch, min_api_hits, threshold)
         spots.append(spot)
         partials.append(partial)
     if not spots:
         return (
-            SpotBatch(batch=BeaconBatch.from_rows([], backend), label=[]),
+            SpotBatch(batch=BeaconBatch.from_rows([]), label=[]),
             ([], []),
         )
-    merged = columnar_ops.merge_asn_partials(partials, backend)
+    merged = columnar_ops.merge_asn_partials(partials)
     return SpotBatch.concat(spots), (list(merged), list(merged.values()))
 
 
-def _fetch_demand_shard_file(args: Tuple[str, str, str]) -> DemandBatch:
+def _fetch_demand_shard_file(args: Tuple[str, str]) -> DemandBatch:
     """Stream one cached DEMAND shard into a columnar batch
     (pool worker)."""
-    path, sha256_hex, backend = args
+    path, sha256_hex = args
     parts = [
-        DemandBatch.from_columns(columns, backend)
+        DemandBatch.from_columns(columns)
         for columns in iter_shard_batches(path, sha256_hex)
     ]
     if not parts:
-        return DemandBatch.from_rows([], backend)
+        return DemandBatch.from_rows([])
     return DemandBatch.concat(parts)
 
 
@@ -217,14 +216,13 @@ def run_sharded(
     ``stage_timings``.
     """
     plan = plan or ShardPlan.plan()
-    backend = active_backend_name()
     timings: Dict[str, float] = {}
 
     started = time.perf_counter()
     with span("stage.partition", shards=plan.shards):
-        beacon_batch = BeaconBatch.from_dataset(beacons, backend)
+        beacon_batch = BeaconBatch.from_dataset(beacons)
         beacon_parts = columnar_ops.partition_batch(beacon_batch, plan.shards)
-        demand_batch = DemandBatch.from_dataset(demand, backend)
+        demand_batch = DemandBatch.from_dataset(demand)
     timings["partition"] = time.perf_counter() - started
 
     executor = ShardExecutor(plan)
@@ -247,7 +245,7 @@ def run_sharded(
         # the idx column restores serial dataset order.
         ordered = columnar_ops.sort_spot_by_idx(SpotBatch.concat(spots))
         table, labels = _assemble_batch(ordered)
-        hits_by_asn = columnar_ops.merge_asn_partials(partials, backend)
+        hits_by_asn = columnar_ops.merge_asn_partials(partials)
     timings["merge"] = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -278,7 +276,6 @@ def run_from_entry(
     pipeline over the datasets the entry caches.
     """
     plan = plan or ShardPlan.plan()
-    backend = active_backend_name()
     timings: Dict[str, float] = {}
     executor = ShardExecutor(plan)
 
@@ -286,13 +283,12 @@ def run_from_entry(
         beacon_spots = executor.map(
             _spot_beacon_shard_file,
             [
-                (path, sha, backend, spotter.min_api_hits, spotter.threshold)
+                (path, sha, spotter.min_api_hits, spotter.threshold)
                 for path, sha in entry.beacon_shards
             ],
         )
         demand_loads = executor.map(
-            _fetch_demand_shard_file,
-            [(path, sha, backend) for path, sha in entry.demand_shards],
+            _fetch_demand_shard_file, entry.demand_shards
         )
     for index, (secs, _) in enumerate(beacon_spots):
         timings[f"load_beacon.shard{index}"] = secs
@@ -306,7 +302,7 @@ def run_from_entry(
         )
         table, labels = _assemble_batch(ordered)
         hits_by_asn = columnar_ops.merge_asn_partials(
-            [partial for _, (_, partial) in beacon_spots], backend
+            [partial for _, (_, partial) in beacon_spots]
         )
     timings["fused_spot"] = time.perf_counter() - started
 

@@ -9,27 +9,22 @@ cellular?* -- and this package turns the streaming engine
   confidence tier, AS verdict, demand share);
 - :mod:`repro.serve.service` -- the serving front end: line-delimited
   JSON request/response over stdin/stdout or an AF_UNIX socket, with
-  periodic atomic snapshots for crash-resume;
-- :mod:`repro.serve.metrics` -- counters, gauges, and fixed-bucket
-  latency histograms exported as JSON (the ``stats`` op and the
-  SIGUSR1 dump).
+  periodic atomic snapshots for crash-resume, and
+  :func:`~repro.serve.service.service_metrics`, the serving metric set
+  (built from the :mod:`repro.obs.metrics` primitives) behind the
+  ``stats`` op and the SIGUSR1 dump.
 
 ``cellspot serve`` and ``cellspot query`` (:mod:`repro.cli`) are thin
 wrappers over :class:`~repro.serve.service.CellSpotService`.
 """
 
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.index import ClassificationIndex, IndexEntry, QueryResult
-from repro.serve.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    service_metrics,
-)
 from repro.serve.service import (
     CellSpotService,
     ServiceConfig,
     install_sigusr1_stats,
+    service_metrics,
 )
 
 __all__ = [

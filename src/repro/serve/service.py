@@ -76,10 +76,10 @@ from repro.cdn.logs import BeaconHit
 from repro.core.asn_classifier import ASFilterConfig
 from repro.core.classifier import DEFAULT_THRESHOLD
 from repro.datasets.demand_dataset import DemandDataset
+from repro.obs.metrics import MetricsRegistry
 from repro.runtime.faults import fault_point
 from repro.runtime.logging import get_logger, log_event
 from repro.serve.index import ClassificationIndex
-from repro.serve.metrics import MetricsRegistry, service_metrics
 from repro.stream.engine import StreamEngine
 
 _LOG = get_logger("serve.service")
@@ -167,6 +167,96 @@ class CircuitBreaker:
     def record_success(self) -> None:
         self._consecutive = 0
         self._opened_at = None
+
+
+def service_metrics(
+    clock=time.monotonic, registry: Optional[MetricsRegistry] = None
+) -> MetricsRegistry:
+    """The serving layer's standard metric set, pre-registered.
+
+    With no ``registry`` a fresh one is created (test isolation, ad
+    hoc services).  Passing one -- typically
+    :func:`repro.obs.metrics.global_registry` -- registers the serving
+    set onto it idempotently (``exist_ok``), so serve metrics land in
+    the same export as the batch/stream instrumentation; ``clock`` is
+    ignored in that case (the shared registry keeps its own).
+    """
+    if registry is None:
+        registry = MetricsRegistry(clock=clock)
+    registry.counter(
+        "events_ingested_total", "beacon events folded into window state",
+        exist_ok=True,
+    )
+    registry.counter(
+        "events_quarantined_total", "malformed events rejected by policy",
+        exist_ok=True,
+    )
+    registry.counter(
+        "window_advances_total", "windows closed into aggregate",
+        exist_ok=True,
+    )
+    registry.counter(
+        "queries_total", "classification queries answered", exist_ok=True
+    )
+    registry.counter(
+        "query_errors_total", "malformed or failed requests", exist_ok=True
+    )
+    registry.counter(
+        "snapshots_written_total", "state snapshots persisted", exist_ok=True
+    )
+    registry.counter(
+        "index_rebuilds_total", "LPM index rebuilds", exist_ok=True
+    )
+    registry.counter(
+        "requests_shed_total",
+        "requests refused by admission control or deadline",
+        exist_ok=True,
+    )
+    registry.counter(
+        "degraded_answers_total",
+        "queries answered stale from the last good index",
+        exist_ok=True,
+    )
+    registry.counter(
+        "index_rebuild_failures_total",
+        "index rebuild attempts that raised",
+        exist_ok=True,
+    )
+    registry.counter(
+        "snapshot_failures_total",
+        "snapshot writes that failed (serving continued)",
+        exist_ok=True,
+    )
+    registry.gauge(
+        "tracked_subnets", "subnets with live window state", exist_ok=True
+    )
+    registry.gauge(
+        "breaker_open",
+        "1 while the index-rebuild circuit breaker is open",
+        exist_ok=True,
+    )
+    registry.gauge(
+        "degraded_mode",
+        "1 while queries are served stale from the last good index",
+        exist_ok=True,
+    )
+    registry.gauge(
+        "pending_requests",
+        "requests queued awaiting the serve loop",
+        exist_ok=True,
+    )
+    registry.gauge(
+        "ingest_events_per_s", "lifetime ingest rate", exist_ok=True
+    )
+    registry.histogram(
+        "query_latency_seconds", "per-query service latency", exist_ok=True
+    )
+    registry.histogram(
+        "ingest_batch_seconds", "latency of ingest batches between requests",
+        bounds=(0.0001, 0.001, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
+        exist_ok=True,
+    )
+    return registry
 
 
 class CellSpotService:

@@ -1,24 +1,25 @@
-"""Row-at-a-time reference implementations (the third contract arm).
+"""Row-at-a-time reference implementations of the columnar kernels.
 
-The equivalence contract of the columnar core is three-way::
+The equivalence contract of the columnar core is::
 
-    kernels_np  ==  kernels_py  ==  reference (this module)
+    repro.columnar (numpy kernels)  ==  reference (this module)
 
-The first two are columnar; this module is the frozen *row-wise*
-semantics they both must reproduce -- dict-accumulation loops written
-the way the pre-columnar pipeline wrote them (the old per-row
-``_spot_shard`` worker, the ``RatioTable.merge`` totals dict, the
-per-key ``+=`` demand sums).
-Nothing here is called on the hot path; it exists so the property
-suite can check the vectorized kernels against an implementation too
-simple to be wrong in the same way twice.
+This module is the frozen *row-wise* semantics the kernels must
+reproduce -- dict-accumulation loops written the way the pre-columnar
+pipeline wrote them (the old per-row ``_spot_shard`` worker, the
+``RatioTable.merge`` totals dict, the per-hit ``observe_hit`` ingest,
+the per-key ``+=`` demand sums).  Nothing in the package calls it; it
+exists so the property suite can check the vectorized kernels against
+an implementation too simple to be wrong in the same way twice.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.parallel.sharding import stable_shard_index
+from repro.core.ratios import RatioRecord, RatioTable
+from repro.datasets.beacon_dataset import BeaconDataset
+from repro.net.prefix import Prefix
 
 #: Compact beacon row: (idx, family, value, length, asn, country,
 #: hits, api, cell) -- the tuple shape of repro.parallel.sharding.
@@ -76,8 +77,6 @@ def accumulate_rows(
                            hits, api, cell]
             continue
         if check_meta and (current[4], current[5]) != (asn, country):
-            from repro.net.prefix import Prefix
-
             raise ValueError(
                 f"conflicting metadata for {Prefix(family, value, length)}"
             )
@@ -92,24 +91,6 @@ def accumulate_rows(
     return merged
 
 
-def shard_assignment(
-    keys: Iterable[Tuple[int, int, int]], shards: int
-) -> List[int]:
-    """Scalar shard index per ``(family, value, length)`` key."""
-    return [
-        stable_shard_index(family, value, length, shards)
-        for family, value, length in keys
-    ]
-
-
-def group_sum_int(pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
-    """``{key: exact integer sum}`` in first-seen key order."""
-    totals: Dict[int, int] = {}
-    for key, value in pairs:
-        totals[key] = totals.get(key, 0) + value
-    return totals
-
-
 def group_sum_float_ordered(
     pairs: Iterable[Tuple[int, float]]
 ) -> Dict[int, float]:
@@ -119,13 +100,6 @@ def group_sum_float_ordered(
     for key, value in pairs:
         totals[key] = totals.get(key, 0.0) + value
     return totals
-
-
-def lex_order(keys: Sequence[Sequence[int]]) -> List[int]:
-    """Stable multi-key argsort via ``sorted`` on tuples."""
-    if not keys:
-        return []
-    return sorted(range(len(keys[0])), key=lambda i: tuple(k[i] for k in keys))
 
 
 def duplicate_key(
@@ -138,3 +112,51 @@ def duplicate_key(
             return key
         seen.add(key)
     return None
+
+
+def merge_rowwise(tables: Iterable[RatioTable]) -> RatioTable:
+    """Row-at-a-time ``RatioTable.merge``: the dict-accumulation loop
+    the columnar merge replaced."""
+    totals: Dict[Prefix, RatioRecord] = {}
+    for table in tables:
+        for record in table:
+            current = totals.get(record.subnet)
+            if current is None:
+                totals[record.subnet] = record
+                continue
+            if (current.asn, current.country) != (
+                record.asn,
+                record.country,
+            ):
+                raise ValueError(f"conflicting metadata for {record.subnet}")
+            totals[record.subnet] = RatioRecord(
+                subnet=record.subnet,
+                asn=record.asn,
+                country=record.country,
+                api_hits=current.api_hits + record.api_hits,
+                cellular_hits=current.cellular_hits + record.cellular_hits,
+                hits=current.hits + record.hits,
+            )
+    ordered = sorted(
+        totals.values(),
+        key=lambda r: (r.subnet.family, r.subnet.value, r.subnet.length),
+    )
+    return RatioTable(ordered)
+
+
+def from_hits_rowwise(month: str, hits) -> BeaconDataset:
+    """Per-hit ``BeaconDataset.from_hits``: the ``observe_hit`` loop the
+    columnar ingest replaced."""
+    dataset = BeaconDataset(month=month)
+    for hit in hits:
+        if hit.month != month:
+            raise ValueError(f"hit from {hit.month} in a {month} collection")
+        dataset.observe_hit(
+            subnet=hit.subnet,
+            asn=hit.asn,
+            country=hit.country,
+            browser=hit.browser,
+            api_enabled=hit.api_enabled,
+            cellular_labeled=hit.is_cellular_labeled,
+        )
+    return dataset

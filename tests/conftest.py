@@ -65,23 +65,6 @@ def rng() -> random.Random:
     return random.Random(1234)
 
 
-@pytest.fixture(params=["python", "numpy"])
-def array_backend(request) -> str:
-    """Both columnar kernel backends, one parametrized run each.
-
-    The numpy leg skips (rather than silently re-testing the
-    fallback) when numpy is not installed, so a green run on a
-    numpy-equipped machine really did exercise both backends.
-    """
-    from repro.columnar.backend import numpy_available, use_backend
-
-    name = request.param
-    if name == "numpy" and not numpy_available():
-        pytest.skip("numpy not installed; python fallback covered elsewhere")
-    with use_backend(name):
-        yield name
-
-
 @pytest.fixture(scope="session")
 def beacon_hits(tiny_world):
     """One month of per-hit beacon events from the tiny world.

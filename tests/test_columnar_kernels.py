@@ -1,14 +1,10 @@
 """Equivalence contract of the columnar hot core.
 
-Seeded property suite over randomized record batches: every kernel
-and every domain operation must satisfy
-
-    kernels_np  ==  kernels_py  ==  per-row reference
-
-bit for bit -- mixed /24 and /48 keys, IPv4 and IPv6, duplicate keys,
-empty batches, single rows, counts at the int64 edge.  The
-``array_backend`` fixture runs each case once per installed backend;
-cross-backend cases additionally diff numpy against python directly.
+Seeded property suite over randomized record batches: every numpy
+kernel and every domain operation must equal the per-row reference
+(:mod:`tests.columnar_reference`) bit for bit -- mixed /24 and /48
+keys, IPv4 and IPv6, duplicate keys, empty batches, single rows,
+counts at the int64 edge.
 """
 
 from __future__ import annotations
@@ -18,23 +14,14 @@ import random
 
 import pytest
 
-from repro.columnar import ops, reference
-from repro.columnar.backend import (
-    BACKEND_ENV,
-    active_backend_name,
-    get_kernels,
-    kernels_for,
-    numpy_available,
-    set_backend,
-    use_backend,
-)
+from repro.columnar import kernels_np as kernels
+from repro.columnar import ops
 from repro.columnar.batch import BeaconBatch, DemandBatch, SpotBatch
 from repro.core.ratios import RatioRecord, RatioTable
 from repro.net.prefix import Prefix
 from repro.parallel.sharding import stable_shard_index
 from repro.parallel.views import DemandMap
-
-BOTH_BACKENDS = numpy_available()
+from tests import columnar_reference as reference
 
 
 # ---- batch generators -------------------------------------------------------
@@ -92,56 +79,40 @@ def make_demand_rows(rng, n, dup_frac=0.0):
 BATCH_SHAPES = [(0, 0.0), (1, 0.0), (1, 1.0), (9, 0.5), (400, 0.35)]
 
 
-# ---- three-way equivalence: spot --------------------------------------------
+# ---- spot and group-accumulate vs the reference ----------------------------
 
+@pytest.mark.parametrize(
+    "seed,min_api_hits,threshold", [(100, 3, 0.5), (300, 2, 0.8)]
+)
 @pytest.mark.parametrize("n,dup", BATCH_SHAPES)
-def test_spot_matches_reference(array_backend, n, dup):
-    rng = random.Random(100 + n)
+def test_spot_matches_reference(n, dup, seed, min_api_hits, threshold):
+    rng = random.Random(seed + n)
     rows = make_beacon_rows(rng, n, dup)
-    batch = BeaconBatch.from_rows(rows, array_backend)
+    batch = BeaconBatch.from_rows(rows)
     assert batch.to_rows() == rows  # lossless round-trip, incl. 2**127 values
-    spot, (asns, asn_hits) = ops.spot_batch(batch, 3, 0.5)
-    ref_rows, ref_hits = reference.spot_rows(rows, 3, 0.5)
+    spot, (asns, asn_hits) = ops.spot_batch(batch, min_api_hits, threshold)
+    ref_rows, ref_hits = reference.spot_rows(rows, min_api_hits, threshold)
     got = [r + (label,) for r, label in zip(spot.batch.to_rows(), spot.label)]
     assert got == ref_rows
     assert dict(zip(asns, asn_hits)) == ref_hits
     assert list(asns) == sorted(ref_hits)
 
 
+@pytest.mark.parametrize("seed", [200, 300])
 @pytest.mark.parametrize("n,dup", BATCH_SHAPES)
-def test_group_accumulate_matches_reference(array_backend, n, dup):
-    rng = random.Random(200 + n)
+def test_group_accumulate_matches_reference(n, dup, seed):
+    rng = random.Random(seed + n)
     rows = make_beacon_rows(rng, n, dup)
-    batch = BeaconBatch.from_rows(rows, array_backend)
+    batch = BeaconBatch.from_rows(rows)
     for order in ("canonical", "first_seen"):
         grouped = ops.group_accumulate_beacons(batch, order=order)
         assert grouped.to_rows() == reference.accumulate_rows(rows, order=order)
 
 
-@pytest.mark.skipif(not BOTH_BACKENDS, reason="needs numpy for the diff")
-@pytest.mark.parametrize("n,dup", BATCH_SHAPES)
-def test_numpy_python_bitwise_identical(n, dup):
-    """Direct numpy-vs-python diff (not just both-vs-reference)."""
-    rng = random.Random(300 + n)
-    rows = make_beacon_rows(rng, n, dup)
-    results = {}
-    for backend in ("python", "numpy"):
-        batch = BeaconBatch.from_rows(rows, backend)
-        spot, partial = ops.spot_batch(batch, 2, 0.8)
-        grouped = ops.group_accumulate_beacons(batch, order="first_seen")
-        results[backend] = (
-            spot.batch.to_rows(),
-            spot.label,
-            [list(column) for column in partial],
-            grouped.to_rows(),
-        )
-    assert results["python"] == results["numpy"]
-
-
 # ---- shard hashing ----------------------------------------------------------
 
 @pytest.mark.parametrize("shards", [1, 2, 5, 8, 64])
-def test_shard_index_matches_scalar_hash(array_backend, shards):
+def test_shard_index_matches_scalar_hash(shards):
     rng = random.Random(41)
     rows = make_beacon_rows(rng, 250, 0.2)
     # Edge keys: all-zero, all-ones 128-bit, int64-boundary values.
@@ -151,12 +122,11 @@ def test_shard_index_matches_scalar_hash(array_backend, shards):
         (6, 2 ** 64 - 1 - 0xFFFF, 48),
     ]
     keys = [(r[1], r[2], r[3]) for r in rows] + edges
-    k = kernels_for(array_backend)
-    got = k.shard_index(
-        k.index_col([key[0] for key in keys]),
-        k.u64_col([key[1] >> 64 for key in keys]),
-        k.u64_col([key[1] & (2 ** 64 - 1) for key in keys]),
-        k.index_col([key[2] for key in keys]),
+    got = kernels.shard_index(
+        kernels.index_col([key[0] for key in keys]),
+        kernels.u64_col([key[1] >> 64 for key in keys]),
+        kernels.u64_col([key[1] & (2 ** 64 - 1) for key in keys]),
+        kernels.index_col([key[2] for key in keys]),
         shards,
     )
     expected = [
@@ -166,12 +136,12 @@ def test_shard_index_matches_scalar_hash(array_backend, shards):
     assert [int(v) for v in got] == expected
 
 
-def test_partition_batch_matches_rowwise_partition(array_backend):
+def test_partition_batch_matches_rowwise_partition():
     from repro.parallel.sharding import partition_rows
 
     rng = random.Random(55)
     rows = make_beacon_rows(rng, 300, 0.25)
-    batch = BeaconBatch.from_rows(rows, array_backend)
+    batch = BeaconBatch.from_rows(rows)
     for shards in (1, 3, 7):
         parts = ops.partition_batch(batch, shards)
         assert [part.to_rows() for part in parts] == partition_rows(
@@ -181,20 +151,20 @@ def test_partition_batch_matches_rowwise_partition(array_backend):
 
 # ---- merges and ordering ----------------------------------------------------
 
-def test_sort_by_idx_restores_dataset_order(array_backend):
+def test_sort_by_idx_restores_dataset_order():
     rng = random.Random(60)
     rows = make_beacon_rows(rng, 120, 0.0)
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    batch = BeaconBatch.from_rows(shuffled, array_backend)
+    batch = BeaconBatch.from_rows(shuffled)
     assert ops.sort_by_idx(batch).to_rows() == rows
 
 
-def test_spot_concat_argsort_merge_equals_serial(array_backend):
+def test_spot_concat_argsort_merge_equals_serial():
     """The zero-copy shard merge: concat columns + one idx argsort."""
     rng = random.Random(61)
     rows = make_beacon_rows(rng, 200, 0.0)
-    batch = BeaconBatch.from_rows(rows, array_backend)
+    batch = BeaconBatch.from_rows(rows)
     serial_spot, serial_partial = ops.spot_batch(batch, 2, 0.5)
     spots, partials = [], []
     for part in ops.partition_batch(batch, 5):
@@ -204,12 +174,12 @@ def test_spot_concat_argsort_merge_equals_serial(array_backend):
     merged = ops.sort_spot_by_idx(SpotBatch.concat(spots))
     assert merged.batch.to_rows() == serial_spot.batch.to_rows()
     assert merged.label == serial_spot.label
-    assert ops.merge_asn_partials(partials, array_backend) == dict(
+    assert ops.merge_asn_partials(partials) == dict(
         zip(*serial_partial)
     )
 
 
-def test_metadata_conflict_raises_like_rowwise(array_backend):
+def test_metadata_conflict_raises_like_rowwise():
     rng = random.Random(62)
     rows = make_beacon_rows(rng, 40, 0.0)
     first = rows[0]
@@ -217,27 +187,27 @@ def test_metadata_conflict_raises_like_rowwise(array_backend):
                 + first[6:9])
     with pytest.raises(ValueError) as ref_err:
         reference.accumulate_rows(rows, check_meta=True)
-    batch = BeaconBatch.from_rows(rows, array_backend)
+    batch = BeaconBatch.from_rows(rows)
     with pytest.raises(ValueError) as got_err:
         ops.group_accumulate_beacons(batch, check_meta=True)
     assert str(got_err.value) == str(ref_err.value)
     assert "conflicting metadata for" in str(got_err.value)
 
 
-def test_duplicate_key_detection_matches_seen_set(array_backend):
+def test_duplicate_key_detection_matches_seen_set():
     rng = random.Random(63)
     rows = make_demand_rows(rng, 80, dup_frac=0.3)
-    batch = DemandBatch.from_rows(rows, array_backend)
+    batch = DemandBatch.from_rows(rows)
     expected = reference.duplicate_key((r[1], r[2], r[3]) for r in rows)
     assert ops.find_duplicate_key(batch) == expected
-    clean = DemandBatch.from_rows(make_demand_rows(rng, 50), array_backend)
+    clean = DemandBatch.from_rows(make_demand_rows(rng, 50))
     assert ops.find_duplicate_key(clean) is None
 
 
 # ---- integer boundaries (regression: counts must never wrap) ----------------
 
-def test_counts_at_int64_boundary_promote_not_wrap(array_backend):
-    """Sums past 2**63 promote to exact Python ints on both backends."""
+def test_counts_at_int64_boundary_promote_not_wrap():
+    """Sums past 2**63 promote to exact Python ints."""
     near = 2 ** 63 - 5
     rows = [
         (0, 4, 0x0A000000, 24, 1, "US", near, near - 2, 2 ** 62),
@@ -245,7 +215,7 @@ def test_counts_at_int64_boundary_promote_not_wrap(array_backend):
         (2, 4, 0x0A000100, 24, 2, "DE", 2 ** 31, 2 ** 31 - 1, 2 ** 31 - 2),
         (3, 4, 0x0A000100, 24, 2, "DE", 2 ** 31, 2 ** 31 - 1, 2 ** 31 - 2),
     ]
-    batch = BeaconBatch.from_rows(rows, array_backend)
+    batch = BeaconBatch.from_rows(rows)
     grouped = ops.group_accumulate_beacons(batch, order="canonical")
     assert grouped.to_rows() == reference.accumulate_rows(rows)
     merged = grouped.to_rows()
@@ -253,22 +223,21 @@ def test_counts_at_int64_boundary_promote_not_wrap(array_backend):
     assert merged[1][6] == 2 ** 32  # crosses 2**31 cleanly
 
 
-def test_column_overflow_promotes_to_exact_ints(array_backend):
-    k = kernels_for(array_backend)
-    col = k.int_col([2 ** 64, -(2 ** 70), 3])
-    assert k.to_list(col) == [2 ** 64, -(2 ** 70), 3]
-    perm = k.lex_argsort([k.index_col([0, 0, 0])])
-    starts = k.group_bounds([k.index_col([0, 0, 0])], perm)
-    assert k.segment_sum_int(col, perm, starts) == [2 ** 64 - 2 ** 70 + 3]
+def test_column_overflow_promotes_to_exact_ints():
+    col = kernels.int_col([2 ** 64, -(2 ** 70), 3])
+    assert kernels.to_list(col) == [2 ** 64, -(2 ** 70), 3]
+    perm = kernels.lex_argsort([kernels.index_col([0, 0, 0])])
+    starts = kernels.group_bounds([kernels.index_col([0, 0, 0])], perm)
+    assert kernels.segment_sum_int(col, perm, starts) == [2 ** 64 - 2 ** 70 + 3]
 
 
-def test_ratio_division_past_float53_uses_exact_path(array_backend):
-    """cell/api past 2**53: both backends take correctly-rounded
-    big-int division, matching the serial classifier's Python ``/``."""
+def test_ratio_division_past_float53_uses_exact_path():
+    """cell/api past 2**53 takes correctly-rounded big-int division,
+    matching the serial classifier's Python ``/``."""
     api = 2 ** 53 + 2
     cell = 2 ** 52 + 1
     rows = [(0, 4, 0x01000000, 24, 1, "US", api + 1, api, cell)]
-    batch = BeaconBatch.from_rows(rows, array_backend)
+    batch = BeaconBatch.from_rows(rows)
     threshold = cell / api
     spot, _ = ops.spot_batch(batch, 1, threshold)
     ref_rows, _ = reference.spot_rows(rows, 1, threshold)
@@ -277,31 +246,30 @@ def test_ratio_division_past_float53_uses_exact_path(array_backend):
 
 # ---- float summation order (regression: merged == serial bits) --------------
 
-def test_sharded_demand_sums_equal_serial_bits(array_backend):
+def test_sharded_demand_sums_equal_serial_bits():
     """Per-AS demand sums after shard interleave equal the serial
     per-key accumulation exactly -- not approximately."""
     rng = random.Random(64)
     rows = make_demand_rows(rng, 500)
     serial = reference.group_sum_float_ordered((r[4], r[6]) for r in rows)
-    batch = DemandBatch.from_rows(rows, array_backend)
+    batch = DemandBatch.from_rows(rows)
     parts = ops.partition_batch(batch, 6)
     restored = ops.sort_by_idx(DemandBatch.concat(parts))
     assert ops.demand_du_by_asn(restored) == serial  # == on floats: exact
 
 
-def test_segment_sum_float_is_sequential_not_pairwise(array_backend):
+def test_segment_sum_float_is_sequential_not_pairwise():
     """The float kernel must accumulate left-to-right; pairwise or
     fsum-style reductions produce different bits on this input."""
     rng = random.Random(65)
     values = [rng.random() * 10 ** rng.randrange(-8, 9) for _ in range(4000)]
-    k = kernels_for(array_backend)
-    col = k.float_col(values)
-    perm = k.index_col(range(len(values)))
-    starts = k.index_col([0])
+    col = kernels.float_col(values)
+    perm = kernels.index_col(range(len(values)))
+    starts = kernels.index_col([0])
     sequential = 0.0
     for value in values:
         sequential += value
-    assert k.segment_sum_float_ordered(col, perm, starts) == [sequential]
+    assert kernels.segment_sum_float_ordered(col, perm, starts) == [sequential]
 
 
 # ---- domain-level equivalence ----------------------------------------------
@@ -324,7 +292,7 @@ def _table(rng, n, base=0):
     return records
 
 
-def test_ratio_table_merge_equals_rowwise(array_backend):
+def test_ratio_table_merge_equals_rowwise():
     rng = random.Random(70)
     shared = _table(rng, 12)
     tables = [
@@ -333,8 +301,8 @@ def test_ratio_table_merge_equals_rowwise(array_backend):
         RatioTable(_table(rng, 5)),
     ]
     # Overlapping subnets must agree on metadata to be mergeable.
-    assert RatioTable.merge(tables) == RatioTable.merge_rowwise(tables)
-    assert RatioTable.merge([]) == RatioTable.merge_rowwise([])
+    assert RatioTable.merge(tables) == reference.merge_rowwise(tables)
+    assert RatioTable.merge([]) == reference.merge_rowwise([])
     # Canonical output order, pinned.
     merged = RatioTable.merge(tables)
     keys = [
@@ -343,31 +311,31 @@ def test_ratio_table_merge_equals_rowwise(array_backend):
     assert keys == sorted(keys)
 
 
-def test_ratio_table_merge_conflict_message_matches(array_backend):
+def test_ratio_table_merge_conflict_message_matches():
     prefix = Prefix.make(4, 0x0A000000, 24)
     a = RatioTable([RatioRecord(prefix, 1, "US", 5, 1, 6)])
     b = RatioTable([RatioRecord(prefix, 2, "US", 5, 1, 6)])
     with pytest.raises(ValueError) as rowwise_err:
-        RatioTable.merge_rowwise([a, b])
+        reference.merge_rowwise([a, b])
     with pytest.raises(ValueError) as columnar_err:
         RatioTable.merge([a, b])
     assert str(columnar_err.value) == str(rowwise_err.value)
 
 
-def test_from_hits_equals_rowwise(array_backend, beacon_hits):
+def test_from_hits_equals_rowwise(beacon_hits):
     from repro.datasets.beacon_dataset import BeaconDataset
 
     month = beacon_hits[0].month
     # Tiny batch size forces many chunk folds over real generator hits.
     columnar = BeaconDataset.from_hits(month, beacon_hits, batch_rows=997)
-    rowwise = BeaconDataset.from_hits_rowwise(month, beacon_hits)
+    rowwise = reference.from_hits_rowwise(month, beacon_hits)
     assert list(columnar._by_subnet) == list(rowwise._by_subnet)
     assert columnar._by_subnet == rowwise._by_subnet
     assert columnar.browser_counts == rowwise.browser_counts
     assert list(columnar.browser_counts) == list(rowwise.browser_counts)
 
 
-def test_from_hits_rejects_foreign_months_and_bad_labels(array_backend):
+def test_from_hits_rejects_foreign_months_and_bad_labels():
     from repro.datasets.beacon_dataset import BeaconDataset
     from repro.cdn.logs import BeaconHit
     from repro.cdn.netinfo import ConnectionType
@@ -383,12 +351,12 @@ def test_from_hits_rejects_foreign_months_and_bad_labels(array_backend):
         BeaconDataset.from_hits("2017-01", [hit])
 
 
-def test_demand_map_from_batch_equals_from_rows(array_backend):
+def test_demand_map_from_batch_equals_from_rows():
     rng = random.Random(71)
     rows = make_demand_rows(rng, 150)
     shuffled = rows[:]
     rng.shuffle(shuffled)
-    batch = DemandBatch.from_rows(shuffled, array_backend)
+    batch = DemandBatch.from_rows(shuffled)
     from_batch = DemandMap.from_batch(batch)
     from_rows = DemandMap.from_rows(shuffled)
     assert list(from_batch) == list(from_rows)
@@ -402,67 +370,13 @@ def test_demand_map_from_batch_equals_from_rows(array_backend):
     with pytest.raises(ValueError) as rows_err:
         DemandMap.from_rows(renumbered)
     with pytest.raises(ValueError) as batch_err:
-        DemandMap.from_batch(
-            DemandBatch.from_rows(renumbered, array_backend)
-        )
+        DemandMap.from_batch(DemandBatch.from_rows(renumbered))
     assert str(batch_err.value) == str(rows_err.value)
-
-
-# ---- backend dispatch -------------------------------------------------------
-
-def test_backend_dispatch_precedence(monkeypatch):
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    previous = set_backend("python")
-    try:
-        assert active_backend_name() == "python"
-        assert get_kernels().NAME == "python"
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        # Forced beats env.
-        assert active_backend_name() == "python"
-        set_backend("auto")
-        if numpy_available():
-            assert active_backend_name() == "numpy"
-    finally:
-        set_backend(previous)
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv(BACKEND_ENV, "python")
-    set_backend(None)
-    try:
-        assert active_backend_name() == "python"
-        assert get_kernels().NAME == "python"
-    finally:
-        monkeypatch.delenv(BACKEND_ENV)
-        set_backend(None)
-
-
-def test_requesting_numpy_without_numpy_is_a_hard_error(monkeypatch):
-    import repro.columnar.backend as backend_mod
-
-    monkeypatch.setattr(backend_mod, "numpy_available", lambda: False)
-    with use_backend("python"):
-        pass  # python backend never needs numpy
-    with pytest.raises(RuntimeError, match="numpy"):
-        with use_backend("numpy"):
-            pass  # pragma: no cover
-
-
-def test_invalid_backend_name_rejected():
-    with pytest.raises(ValueError):
-        set_backend("fortran")
-
-
-def test_use_backend_restores_previous():
-    previous = active_backend_name()
-    with use_backend("python"):
-        assert active_backend_name() == "python"
-    assert active_backend_name() == previous
 
 
 # ---- mmap ratio snapshots ---------------------------------------------------
 
-def test_mmap_table_round_trip_and_lookups(tmp_path, array_backend):
+def test_mmap_table_round_trip_and_lookups(tmp_path):
     rng = random.Random(80)
     records = _table(rng, 60) + [
         RatioRecord(Prefix.make(6, rng.randrange(0, 2 ** 128), 48),

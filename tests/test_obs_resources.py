@@ -1,6 +1,6 @@
 """Resource-plane tests: /proc parsing against fixture files, sampler
-lifecycle, labelled-gauge export, watermark attribution, profiler
-arbitration, and SIGUSR1 dump atomicity while sampling."""
+lifecycle, labelled-gauge export, watermark attribution, and SIGUSR1
+dump atomicity while sampling."""
 
 from __future__ import annotations
 
@@ -19,12 +19,6 @@ from repro.obs.metrics import (
     NullMetric,
     parse_prometheus_text,
     reset_global_registry,
-)
-from repro.obs.profile import (
-    acquire_profiler,
-    active_profiler,
-    maybe_profile,
-    release_profiler,
 )
 from repro.obs.resources import (
     LeakDrill,
@@ -404,47 +398,13 @@ class TestLeakDrill:
         assert engine.leak_drill.retained_bytes == 0
 
 
-class TestProfilerArbitration:
-    def teardown_method(self):
-        release_profiler("cprofile")
-        release_profiler("sample")
-
-    def test_slot_is_exclusive(self):
-        assert acquire_profiler("cprofile")
-        assert active_profiler() == "cprofile"
-        assert not acquire_profiler("sample")
-        release_profiler("sample")  # non-holder release is a no-op
-        assert active_profiler() == "cprofile"
-        release_profiler("cprofile")
-        assert active_profiler() is None
-        assert acquire_profiler("sample")
-
-    def test_sampler_defers_to_cprofile(self):
-        assert acquire_profiler("cprofile")
-        sampler = SamplingProfiler(interval_s=0.001)
-        assert sampler.start() is False
-        assert not sampler.running
-        release_profiler("cprofile")
-        assert sampler.start() is True
-        sampler.stop()
-        assert active_profiler() is None
-
-    def test_cprofile_defers_to_sampler(self, tmp_path):
-        sampler = SamplingProfiler(interval_s=0.001)
-        assert sampler.start()
-        try:
-            with maybe_profile(True, tmp_path / "p.txt") as prof:
-                assert prof is None  # refused, not stacked
-            assert not (tmp_path / "p.txt").exists()
-        finally:
-            sampler.stop()
-
-
 class TestSamplingProfiler:
     def test_start_stop_idempotent_and_collapsed_format(self, tmp_path):
         sampler = SamplingProfiler(interval_s=0.001)
-        assert sampler.start()
-        assert sampler.start()  # already running: True, no respawn
+        sampler.start()
+        thread = sampler._thread
+        sampler.start()  # already running: no respawn
+        assert sampler.running and sampler._thread is thread
         deadline = time.time() + 2.0
         while sampler.samples == 0 and time.time() < deadline:
             sum(n * n for n in range(20_000))
