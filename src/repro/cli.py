@@ -441,55 +441,57 @@ def _build_stream_engine(args: argparse.Namespace):
     return StreamEngine.resume_or_start(args.snapshot, policy=policy)
 
 
-def _event_source(args: argparse.Namespace, skip: int):
-    """The beacon event iterator the CLI was pointed at.
+def _source_spec(args: argparse.Namespace, in_process: bool = False):
+    """The picklable event-source spec the CLI was pointed at, or None.
 
-    Returns ``(events, closer)``; ``closer()`` releases any file
-    handle.  ``skip`` accepted events are discarded first (snapshot
-    resume).  Returns ``(None, noop)`` when no source was requested.
+    :func:`repro.scale.builder.event_source` opens it: in this process
+    for serve / query (``in_process``), in the plane's builder process
+    for serve-scale -- which cannot read this process's stdin, so
+    ``--events -`` is refused there.
     """
-    from repro.runtime.policies import IngestPolicy
-    from repro.stream.sources import (
-        follow_jsonl,
-        generated_events,
-        jsonl_events,
-        skip_events,
-    )
-
-    def _noop() -> None:
-        return None
-
-    policy = (
-        IngestPolicy.skip() if args.on_error == "skip"
-        else IngestPolicy.strict()
-    )
+    if args.events and args.generate:
+        raise ValueError("--events and --generate are mutually exclusive")
     if args.generate:
-        from repro.cdn.beacon import BeaconConfig
+        return {
+            "kind": "generate",
+            "scale": args.scale,
+            "seed": args.seed,
+            "hit_volume": args.hit_volume,
+            "base_hits": args.base_hits,
+        }
+    if args.events:
+        if args.events == "-" and not in_process:
+            raise ValueError(
+                "--events - reads stdin, but the serve-scale builder "
+                "runs in its own process; give a file path"
+            )
+        return {
+            "kind": "jsonl",
+            "path": args.events,
+            "follow": bool(args.follow),
+            "on_error": args.on_error,
+        }
+    return None
 
-        lab = _make_lab(args)
-        events = generated_events(
-            lab.world,
-            BeaconConfig(
-                demand_hits=args.hit_volume, base_hits=args.base_hits
-            ),
-        )
-        closer = _noop
-    elif args.events == "-":
-        events = jsonl_events(sys.stdin, policy=policy)
-        closer = _noop
-    elif args.events:
-        if args.follow:
-            events = follow_jsonl(args.events, policy=policy)
-            closer = _noop
-        else:
-            handle = open(args.events)  # noqa: SIM115 -- closed by closer
-            events = jsonl_events(handle, policy=policy)
-            closer = handle.close
-    else:
-        return None, _noop
-    if skip:
-        events = skip_events(events, skip)
-    return events, closer
+
+def _open_events(spec, skip: int):
+    """Open ``spec`` in-process (None for no spec); ``close()`` releases it.
+
+    ``skip`` accepted events are discarded first (snapshot resume); a
+    source shorter than that raises ``ValueError``.
+    """
+    from repro.scale.builder import event_source
+    from repro.stream.sources import skip_events
+
+    if spec is None:
+        return None
+    events = event_source(spec)
+    try:
+        skip_events(events, skip)
+    except ValueError:
+        events.close()
+        raise
+    return events
 
 
 def _make_service(args: argparse.Namespace, engine,
@@ -513,7 +515,6 @@ def _make_service(args: argparse.Namespace, engine,
         demand=demand,
         as_classes=as_classes,
         filter_config=filter_config,
-        ratio_spool_dir=getattr(args, "ratio_spool", None),
         config=ServiceConfig(
             snapshot_every_events=args.snapshot_every,
             ingest_batch=args.ingest_batch,
@@ -530,6 +531,28 @@ def _make_service(args: argparse.Namespace, engine,
     )
 
 
+def _dump_on_sigusr1(args: argparse.Namespace, registry) -> None:
+    """SIGUSR1 dumps ``registry`` as JSON to stderr.
+
+    Not with --metrics-out / --trace-out: the observability layer then
+    owns SIGUSR1 for atomic file dumps.
+    """
+    from repro.serve.service import install_sigusr1_registry
+
+    if not (getattr(args, "metrics_out", None)
+            or getattr(args, "trace_out", None)):
+        install_sigusr1_registry(registry)
+
+
+def _report_alerting(alert_engine) -> None:
+    if alert_engine is not None:
+        counts = alert_engine.counts()
+        print(f"alerting: {counts.get('firing', 0)} firing / "
+              f"{len(alert_engine.rules)} rules, "
+              f"{len(alert_engine.events)} transition(s) logged",
+              file=sys.stderr)
+
+
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the online service (stdin/stdout or a local socket).
 
@@ -540,16 +563,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     resumes without duplicating or losing a single count.
     """
     from repro.obs.alerts import AlertRuleError
-    from repro.serve.service import install_sigusr1_stats
     from repro.stream.engine import SnapshotError
 
-    if args.events and args.generate:
-        print("error: --events and --generate are mutually exclusive",
-              file=sys.stderr)
-        return 2
     try:
+        source_spec = _source_spec(args, in_process=True)
         engine = _build_stream_engine(args)
-    except SnapshotError as exc:
+        scraper, alert_engine, drift_monitor = _build_telemetry(args)
+    except (ValueError, SnapshotError, AlertRuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     resumed = engine.events_consumed
@@ -557,11 +577,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"resumed from snapshot: {resumed:,} events already "
               f"consumed, {engine.subnet_count():,} subnets",
               file=sys.stderr)
-    try:
-        scraper, alert_engine, drift_monitor = _build_telemetry(args)
-    except AlertRuleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     if args.drill_leak:
         from repro.obs.resources import LeakDrill
 
@@ -574,13 +589,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = _make_service(
         args, engine, alert_engine=alert_engine, drift_monitor=drift_monitor
     )
-    if not (args.metrics_out or args.trace_out):
-        # With --metrics-out / --trace-out the observability layer
-        # owns SIGUSR1 (atomic file dumps); without them, keep the
-        # legacy dump-JSON-to-stderr behavior.
-        install_sigusr1_stats(service)
+    _dump_on_sigusr1(args, service.metrics)
     try:
-        events, closer = _event_source(args, skip=resumed)
+        events = _open_events(source_spec, skip=resumed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -613,7 +624,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        closer()
+        if events is not None:
+            events.close()
         if scraper is not None:
             _stop_telemetry(scraper)
         if previous_sigterm is not None:
@@ -625,35 +637,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
           f"{service.engine.events_consumed:,} events consumed, "
           f"{service.engine.windows_advanced:,} windows advanced",
           file=sys.stderr)
-    if alert_engine is not None:
-        counts = alert_engine.counts()
-        print(f"alerting: {counts.get('firing', 0)} firing / "
-              f"{len(alert_engine.rules)} rules, "
-              f"{len(alert_engine.events)} transition(s) logged",
-              file=sys.stderr)
+    _report_alerting(alert_engine)
     return 0
-
-
-def _scale_source_spec(args: argparse.Namespace):
-    """A picklable event-source spec for the plane's builder process."""
-    if args.events and args.generate:
-        raise ValueError("--events and --generate are mutually exclusive")
-    if args.generate:
-        return {
-            "kind": "generate",
-            "scale": args.scale,
-            "seed": args.seed,
-            "hit_volume": args.hit_volume,
-            "base_hits": args.base_hits,
-        }
-    if args.events:
-        return {
-            "kind": "jsonl",
-            "path": args.events,
-            "follow": bool(args.follow),
-            "on_error": args.on_error,
-        }
-    return None
 
 
 def _cmd_serve_scale(args: argparse.Namespace) -> int:
@@ -665,28 +650,22 @@ def _cmd_serve_scale(args: argparse.Namespace) -> int:
     latest mmap snapshot generation under --snapshot-dir.  With an
     event source (--events / --generate) a builder process ingests and
     publishes new generations; without one, the plane serves whatever
-    the catalog already holds (e.g. a 'cellspot serve --ratio-spool'
-    directory).
+    the catalog already holds (e.g. one an earlier builder published).
     """
     import asyncio
     import signal
 
     from repro.obs.alerts import AlertRuleError
     from repro.scale.plane import PlaneConfig, ServingPlane
-    from repro.serve.service import install_sigusr1_registry
 
     if not args.socket and args.port is None:
         print("error: serve-scale needs --socket and/or --port",
               file=sys.stderr)
         return 2
     try:
-        source_spec = _scale_source_spec(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
+        source_spec = _source_spec(args)
         scraper, alert_engine, _drift = _build_telemetry(args)
-    except AlertRuleError as exc:
+    except (ValueError, AlertRuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     drill = None
@@ -733,12 +712,7 @@ def _cmd_serve_scale(args: argparse.Namespace) -> int:
         # every front scrape as name{worker="N"} keys, so the offline
         # reader / alert engine / `cellspot top` see per-worker series.
         scraper.add_enricher(plane.federation_metrics)
-    if not (getattr(args, "metrics_out", None)
-            or getattr(args, "trace_out", None)):
-        # Same operator reflex as `cellspot serve`: SIGUSR1 dumps the
-        # front's metrics to stderr unless the observability layer owns
-        # the signal for atomic file dumps.
-        install_sigusr1_registry(plane.metrics)
+    _dump_on_sigusr1(args, plane.metrics)
 
     def _ready(_plane) -> None:
         where = []
@@ -777,12 +751,7 @@ def _cmd_serve_scale(args: argparse.Namespace) -> int:
           f"{plane.metrics.get('scale_worker_respawns_total').value:g} "
           f"respawns; {plane.metrics.get('scale_shed_total').value:,} shed",
           file=sys.stderr)
-    if alert_engine is not None:
-        counts = alert_engine.counts()
-        print(f"alerting: {counts.get('firing', 0)} firing / "
-              f"{len(alert_engine.rules)} rules, "
-              f"{len(alert_engine.events)} transition(s) logged",
-              file=sys.stderr)
+    _report_alerting(alert_engine)
     return 0
 
 
@@ -883,30 +852,26 @@ def _cmd_query(args: argparse.Namespace) -> int:
     stdin (one per line).  Prints one JSON answer per query.  Exit
     codes: 0 all answered, 1 any malformed query, 2 unusable input.
     """
-    import json as json_module
-
+    from repro.serve.protocol import encode
     from repro.stream.engine import SnapshotError
 
-    if args.events and args.generate:
-        print("error: --events and --generate are mutually exclusive",
-              file=sys.stderr)
-        return 2
     try:
+        source_spec = _source_spec(args, in_process=True)
         engine = _build_stream_engine(args)
-    except SnapshotError as exc:
+    except (ValueError, SnapshotError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     service = _make_service(args, engine)
     try:
-        events, closer = _event_source(args, skip=engine.events_consumed)
+        events = _open_events(source_spec, skip=engine.events_consumed)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if events is not None:
+    if events is not None:
+        try:
             service.drain(events)
-    finally:
-        closer()
+        finally:
+            events.close()
     if engine.events_consumed == 0:
         print("error: no events: give --events FILE, --generate, or a "
               "--snapshot with state", file=sys.stderr)
@@ -914,11 +879,9 @@ def _cmd_query(args: argparse.Namespace) -> int:
     queries = list(args.queries)
     if queries == ["-"]:
         queries = [line.strip() for line in sys.stdin if line.strip()]
-    index = service.index()
     failures = 0
-    for result in index.batch(queries):
-        payload = result.to_dict()
-        print(json_module.dumps(payload, separators=(",", ":")))
+    for result in service.index().batch(queries):
+        sys.stdout.write(encode(result.to_dict()).decode())
         if result.error is not None:
             failures += 1
     return 1 if failures else 0
@@ -1194,12 +1157,12 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_stream_options(parser: argparse.ArgumentParser) -> None:
-    """Event-source and window knobs shared by serve / query."""
+def _add_event_source_options(parser: argparse.ArgumentParser) -> None:
+    """Event-source knobs shared by serve / query / serve-scale."""
     parser.add_argument(
         "--events", default=None, metavar="FILE",
-        help="beacon hit JSONL to ingest ('-' for stdin; see "
-             "'cellspot datasets --hits')",
+        help="beacon hit JSONL to ingest ('-' for stdin, except with "
+             "serve-scale; see 'cellspot datasets --hits')",
     )
     parser.add_argument(
         "--follow", action="store_true",
@@ -1223,6 +1186,15 @@ def _add_stream_options(parser: argparse.ArgumentParser) -> None:
         help="events per tumbling window (default: 10000)",
     )
     parser.add_argument(
+        "--on-error", choices=["strict", "skip"], default="strict",
+        help="malformed event lines: raise (strict) or drop (skip)",
+    )
+
+
+def _add_stream_options(parser: argparse.ArgumentParser) -> None:
+    """Event-source and window knobs shared by serve / query."""
+    _add_event_source_options(parser)
+    parser.add_argument(
         "--decay", type=float, default=1.0,
         help="aggregate decay applied at each window close; 1.0 keeps "
              "exact batch-equal counts (default: 1.0)",
@@ -1231,10 +1203,6 @@ def _add_stream_options(parser: argparse.ArgumentParser) -> None:
         "--snapshot", default=None, metavar="FILE",
         help="snapshot file: resumed at startup when present, written "
              "atomically during the run",
-    )
-    parser.add_argument(
-        "--on-error", choices=["strict", "skip"], default="strict",
-        help="malformed event lines: raise (strict) or drop (skip)",
     )
     parser.add_argument(
         "--with-demand",
@@ -1852,12 +1820,6 @@ def build_parser() -> argparse.ArgumentParser:
              "rss-growth leak alert end to end (fires while the "
              "ballast accumulates, resolves after the release)",
     )
-    serve.add_argument(
-        "--ratio-spool", default=None, metavar="DIR",
-        help="spool index rebuilds through mmap ratio snapshots in DIR "
-             "(read-only page-shared rebuilds; generations double as "
-             "serve-scale worker handoff points)",
-    )
     _add_telemetry_options(serve)
     _add_common(serve)
     serve.set_defaults(func=_cmd_serve)
@@ -1917,41 +1879,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="wait this long for the first snapshot generation and "
              "worker sockets (default: 120)",
     )
-    serve_scale.add_argument(
-        "--events", default=None, metavar="FILE",
-        help="beacon hit JSONL for the builder process",
-    )
-    serve_scale.add_argument(
-        "--follow", action="store_true",
-        help="tail --events FILE as it grows",
-    )
-    serve_scale.add_argument(
-        "--generate", action="store_true",
-        help="builder ingests synthetic hit events from the world",
-    )
+    _add_event_source_options(serve_scale)
     serve_scale.add_argument(
         "--scale", type=float, default=0.005,
         help="world scale factor for --generate (default: 0.005)",
     )
     serve_scale.add_argument(
         "--seed", type=int, default=0, help="world seed for --generate"
-    )
-    serve_scale.add_argument(
-        "--hit-volume", type=_positive_int, default=100_000, metavar="N",
-        help="demand-proportional hit budget for --generate "
-             "(default: 100000)",
-    )
-    serve_scale.add_argument(
-        "--base-hits", type=float, default=5.0, metavar="F",
-        help="per-subnet base hit rate for --generate (default: 5.0)",
-    )
-    serve_scale.add_argument(
-        "--window-events", type=_positive_int, default=10_000, metavar="N",
-        help="events per tumbling window (default: 10000)",
-    )
-    serve_scale.add_argument(
-        "--on-error", choices=["strict", "skip"], default="strict",
-        help="malformed event lines: raise (strict) or drop (skip)",
     )
     serve_scale.add_argument(
         "--obs-dir", default=None, metavar="DIR",

@@ -3,8 +3,8 @@
 ``repro.scale`` turns the single-process
 :class:`~repro.serve.service.CellSpotService` into a small serving
 tier: an asyncio front-end accepts the same line-delimited JSON
-protocol over TCP or ``AF_UNIX`` and fans queries out to N worker
-processes.  Workers never touch the stream engine -- each serves
+protocol (:mod:`repro.serve.protocol`) over TCP or ``AF_UNIX`` and
+fans queries out to N worker processes.  Workers never touch the stream engine -- each serves
 longest-prefix-match lookups from an immutable
 :class:`~repro.serve.index.ClassificationIndex` compiled from an mmap
 :class:`~repro.columnar.mmaptable.MmapRatioTable` snapshot, so all

@@ -20,20 +20,33 @@ pass it across a process boundary::
     {"kind": "jsonl", "path": ..., "follow": bool, "on_error": "skip"}
     {"kind": "generate", "scale": 0.01, "seed": 1,
      "hit_volume": 200000, "base_hits": 40}
+
+:func:`event_source` is also how ``cellspot serve`` and ``cellspot
+query`` open their sources in-process; only they may pass the path
+``"-"`` (this process's stdin).
 """
 
 from __future__ import annotations
 
+import sys
 from typing import Dict, Iterator, Optional
 
 from repro.scale.snapshot import SnapshotCatalog
 
-#: Spec keys understood by :func:`event_source`.
-SOURCE_KINDS = ("jsonl", "generate")
+
+def _jsonl_file_events(path: str, policy) -> Iterator:
+    # Opened inside the generator, so ``close()`` releases the handle.
+    from repro.stream.sources import jsonl_events
+
+    with open(path) as handle:
+        yield from jsonl_events(handle, policy=policy)
 
 
 def event_source(spec: Dict) -> Iterator:
-    """Materialize a beacon-event iterator from a picklable spec."""
+    """Open a beacon-event generator from a picklable spec.
+
+    ``close()`` on the result releases whatever it opened.
+    """
     from repro.runtime.policies import IngestPolicy
     from repro.stream.sources import follow_jsonl, generated_events, jsonl_events
 
@@ -44,16 +57,15 @@ def event_source(spec: Dict) -> Iterator:
             if spec.get("on_error") == "skip"
             else IngestPolicy.strict()
         )
+        if spec["path"] == "-":
+            return jsonl_events(sys.stdin, policy=policy)
         if spec.get("follow"):
             return follow_jsonl(
                 spec["path"],
                 policy=policy,
                 idle_polls=spec.get("idle_polls", 20),
             )
-        # The handle lives as long as the generator: the builder
-        # process exits when the source drains.
-        handle = open(spec["path"])  # noqa: SIM115 -- generator-scoped
-        return jsonl_events(handle, policy=policy)
+        return _jsonl_file_events(spec["path"], policy)
     if kind == "generate":
         from repro.cdn.beacon import BeaconConfig
         from repro.lab import Lab
@@ -137,16 +149,19 @@ def builder_main(
                 pass
 
     events = event_source(source_spec)
-    for hit in events:
-        engine.ingest(hit)
-        if (
-            engine.windows_advanced - max(published_at_window, 0)
-            >= publish_every_windows
-            and engine.windows_advanced != published_at_window
-        ):
-            publish()
-        if max_events is not None and engine.events_consumed >= max_events:
-            break
+    try:
+        for hit in events:
+            engine.ingest(hit)
+            if (
+                engine.windows_advanced - max(published_at_window, 0)
+                >= publish_every_windows
+                and engine.windows_advanced != published_at_window
+            ):
+                publish()
+            if max_events is not None and engine.events_consumed >= max_events:
+                break
+    finally:
+        events.close()
     # Final generation: whatever is still in the open window counts
     # too (exact policy: drained stream == batch aggregate).
     if engine.events_consumed and (

@@ -40,6 +40,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from repro.columnar.mmaptable import open_mmap
 from repro.net.addr import format_ip
 from repro.scale.snapshot import SnapshotCatalog
+from repro.serve.protocol import encode
 
 _STREAM_LIMIT = 1 << 20
 
@@ -188,9 +189,7 @@ async def _drive_phase(
                     request = {"op": "query", "q": chunk[0]}
                 else:
                     request = {"op": "query", "qs": chunk}
-                line = (
-                    json.dumps(request, separators=(",", ":")) + "\n"
-                ).encode()
+                line = encode(request)
                 started = time.perf_counter()
                 try:
                     writer.write(line)

@@ -1,18 +1,19 @@
 """The asyncio front: admission, deadlines, fan-out, respawn, drain.
 
 One :class:`ServingPlane` is the public face of the serving tier.  It
-accepts the service's line-delimited JSON protocol over TCP and/or
-``AF_UNIX``, answers control ops (``stats`` / ``health`` / ``alerts``
-/ ``ping`` / ``shutdown``) itself, and fans ``query`` ops out to N
-worker processes over per-worker ``AF_UNIX`` connections -- one
-request in flight per worker, so replies need no id framing.
+accepts the line-delimited JSON protocol of :mod:`repro.serve.protocol`
+-- the one ``cellspot serve`` speaks -- over TCP and/or ``AF_UNIX``,
+answers control ops (``stats`` / ``health`` / ``alerts`` / ``ping`` /
+``shutdown``) and malformed requests itself, and fans well-formed
+``query`` ops out to N worker processes over per-worker ``AF_UNIX``
+connections -- one request in flight per worker, so replies need no id
+framing.
 
-Hardening (ported up from the single-process serve loop):
+Hardening, built for the asyncio transport:
 
 - *Admission control*: at most ``max_pending`` query requests are in
   flight across all connections; beyond that, requests are refused
-  immediately with the explicit ``{"ok": false, "error":
-  "overloaded", "overloaded": true}`` shed the clients already know.
+  immediately with the protocol's explicit ``overloaded`` shed.
 - *Deadlines*: a request that cannot reach a worker (or get its reply)
   before ``deadline_s`` is shed the same way instead of queueing
   without bound.
@@ -37,7 +38,6 @@ import json
 import logging
 import multiprocessing
 import os
-import socket
 import time
 import uuid
 from dataclasses import dataclass
@@ -55,22 +55,21 @@ from repro.runtime.logging import get_logger, log_event
 from repro.scale.builder import builder_main
 from repro.scale.snapshot import CatalogError, SnapshotCatalog
 from repro.scale.worker import worker_main
+from repro.serve.protocol import (
+    OVERLOADED_LINE,
+    alert_health,
+    alerts_payload,
+    decode_request,
+    encode,
+    error,
+    evict_stale_socket,
+    query_error,
+    unknown_op,
+)
 
 logger = get_logger("scale.plane")
 
 _STREAM_LIMIT = 1 << 20  # longest tolerated protocol line (1 MiB)
-
-SHED_RESPONSE = (
-    json.dumps(
-        {"ok": False, "error": "overloaded", "overloaded": True},
-        separators=(",", ":"),
-    )
-    + "\n"
-).encode()
-
-
-def _dumps(payload: Dict) -> bytes:
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
 
 
 def plane_metrics(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -471,7 +470,6 @@ class ServingPlane:
         self._draining = False
         self._reaper_task: Optional[asyncio.Task] = None
         self._servers: List[asyncio.AbstractServer] = []
-        self._started_at = time.monotonic()
 
     # ---- lifecycle -------------------------------------------------------
 
@@ -669,7 +667,7 @@ class ServingPlane:
                 remaining = deadline - time.perf_counter()
                 if remaining <= 0:
                     self.metrics.get("scale_shed_total").inc()
-                    return SHED_RESPONSE
+                    return OVERLOADED_LINE
             try:
                 if remaining is None:
                     handle = await self._idle.get()
@@ -679,7 +677,7 @@ class ServingPlane:
                     )
             except asyncio.TimeoutError:
                 self.metrics.get("scale_shed_total").inc()
-                return SHED_RESPONSE
+                return OVERLOADED_LINE
             if not handle.alive:
                 continue  # stale idle-queue entry from a retirement
             self._dispatched += 1
@@ -703,20 +701,18 @@ class ServingPlane:
                     if attempts < self.config.dispatch_retries:
                         attempts += 1
                         continue
-                    return _dumps(
-                        {"ok": False, "error": "worker timeout"}
-                    )
+                    return encode(error("worker timeout"))
                 # Deadline shed: the worker is merely busy; reclaim it
                 # once its reply lands.
                 asyncio.ensure_future(self._reclaim(handle, task))
                 self.metrics.get("scale_shed_total").inc()
-                return SHED_RESPONSE
+                return OVERLOADED_LINE
             except (ConnectionError, asyncio.IncompleteReadError, OSError):
                 await self._retire(handle)
                 if attempts < self.config.dispatch_retries:
                     attempts += 1
                     continue
-                return _dumps({"ok": False, "error": "worker failed"})
+                return encode(error("worker failed"))
             else:
                 handle.inflight = None
                 self._idle.put_nowait(handle)
@@ -743,38 +739,36 @@ class ServingPlane:
     async def handle_line(self, line: bytes) -> bytes:
         """Answer one protocol line (front op or worker fan-out)."""
         self._requests_handled += 1
-        try:
-            request = json.loads(line)
-        except ValueError as exc:
-            return _dumps({"ok": False, "error": f"bad JSON: {exc}"})
-        if not isinstance(request, dict):
-            return _dumps(
-                {"ok": False, "error": "request must be a JSON object"}
-            )
+        request, refusal = decode_request(line)
+        if refusal is not None:
+            return encode(refusal)
         op = request.get("op")
         if op == "query":
+            refusal = query_error(request)
+            if refusal is not None:
+                return encode(refusal)
             return await self._handle_query(line, request)
         if op == "stats":
-            return _dumps(await self.stats())
+            return encode(await self.stats())
         if op == "health":
-            return _dumps(await self.health())
+            return encode(await self.health())
         if op == "alerts":
-            return _dumps(self.alerts())
+            return encode(alerts_payload(self.alert_engine))
         if op == "ping":
-            return _dumps(
+            return encode(
                 {"ok": True, "pong": True, "workers": self._alive_count()}
             )
         if op == "shutdown":
             self.request_shutdown()
-            return _dumps({"ok": True, "shutdown": True})
-        return _dumps({"ok": False, "error": f"unknown op {op!r}"})
+            return encode({"ok": True, "shutdown": True})
+        return encode(unknown_op(op))
 
     async def _handle_query(self, line: bytes, request: Dict) -> bytes:
         if self._draining:
-            return SHED_RESPONSE
+            return OVERLOADED_LINE
         if self._pending >= self.config.max_pending:
             self.metrics.get("scale_shed_total").inc()
-            return SHED_RESPONSE
+            return OVERLOADED_LINE
         rid: Optional[str] = None
         span_id: Optional[str] = None
         if self._obs is not None:
@@ -790,20 +784,12 @@ class ServingPlane:
                 ',"_trace":{"tid":"%s","rid":"%s","psid":"%s"}}\n'
                 % (self._obs.trace_id, rid, span_id)
             ).encode()
-            stripped = line.rstrip()
-            if stripped.endswith(b"}") and len(stripped) > 2:
-                # Splice the envelope into the already-serialized
-                # object instead of re-dumping the whole (possibly
-                # 100-query) request line.  The ids are hex16 /
-                # ``req-%012d``, so no JSON escaping is needed.
-                line = stripped[:-1] + envelope
-            else:
-                request["_trace"] = {
-                    "tid": self._obs.trace_id,
-                    "rid": rid,
-                    "psid": span_id,
-                }
-                line = _dumps(request)
+            # Splice the envelope into the already-serialized object
+            # instead of re-dumping the whole (possibly 100-query)
+            # request line: a decoded ``query`` object ends in ``}``
+            # and has fields before it.  The ids are hex16 /
+            # ``req-%012d``, so no JSON escaping is needed.
+            line = line.rstrip()[:-1] + envelope
         self._pending += 1
         self.metrics.get("scale_pending_requests").set(float(self._pending))
         started = time.perf_counter()
@@ -823,9 +809,8 @@ class ServingPlane:
         self.metrics.get("scale_request_latency_seconds").observe(elapsed)
         self.metrics.get("scale_requests_total").inc()
         queries = request.get("qs")
-        self.metrics.get("scale_queries_total").inc(
-            len(queries) if isinstance(queries, list) else 1
-        )
+        count = 1 if queries is None else len(queries)
+        self.metrics.get("scale_queries_total").inc(count)
         if self._obs is not None:
             try:
                 self._obs.spans.record(
@@ -835,8 +820,8 @@ class ServingPlane:
                     duration=elapsed,
                     span_id=span_id,
                     request_id=rid,
-                    outcome="shed" if reply == SHED_RESPONSE else "ok",
-                    queries=len(queries) if isinstance(queries, list) else 1,
+                    outcome="shed" if reply == OVERLOADED_LINE else "ok",
+                    queries=count,
                 )
             except Exception:  # noqa: BLE001 -- telemetry must not fail queries
                 pass
@@ -851,7 +836,7 @@ class ServingPlane:
         logs the worker slot, so a chronically unresponsive worker is
         visible instead of just missing from the merged histogram.
         """
-        stats_line = _dumps({"op": "stats"})
+        stats_line = encode({"op": "stats"})
         payloads: List[Dict] = []
         for handle in list(self._workers):
             if not handle.alive:
@@ -931,14 +916,8 @@ class ServingPlane:
                 "queries_per_s": self.metrics.rate("scale_queries_total"),
                 "request_p99_s": latency.quantile(0.99),
             },
-            "alerts": (
-                self.alert_engine.snapshot()
-                if self.alert_engine is not None
-                else []
-            ),
         }
-        if self.alert_engine is not None:
-            payload["alert_counts"] = self.alert_engine.counts()
+        payload.update(alert_health(self.alert_engine))
         if self._obs is not None:
             try:
                 payload["workers"] = self._obs.worker_rollup()
@@ -961,17 +940,6 @@ class ServingPlane:
         if max_age_s is None:
             max_age_s = max(4.0 * self.config.obs_scrape_interval_s, 2.0)
         return self._obs.federation_metrics(max_age_s=max_age_s)
-
-    def alerts(self) -> Dict:
-        if self.alert_engine is None:
-            return {"ok": True, "rules": [], "events": [],
-                    "note": "no alert engine configured"}
-        return {
-            "ok": True,
-            "rules": self.alert_engine.snapshot(),
-            "events": self.alert_engine.events[-100:],
-            "trace_id": self.alert_engine.trace_id,
-        }
 
     # ---- serving ---------------------------------------------------------
 
@@ -1003,22 +971,6 @@ class ServingPlane:
             except Exception:  # noqa: BLE001 -- teardown best effort
                 pass
 
-    @staticmethod
-    def _clear_stale_socket(path: Path) -> None:
-        """Remove a dead server's socket file; refuse a live one."""
-        if not path.exists():
-            return
-        probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        probe.settimeout(0.2)
-        try:
-            probe.connect(str(path))
-        except (ConnectionRefusedError, FileNotFoundError, socket.timeout):
-            path.unlink(missing_ok=True)
-        else:
-            raise OSError(f"socket {path} is in use by a live server")
-        finally:
-            probe.close()
-
     async def serve(
         self,
         socket_path: Optional[Union[str, Path]] = None,
@@ -1029,10 +981,12 @@ class ServingPlane:
         """Run until SIGTERM / ``shutdown``; returns requests handled."""
         if socket_path is None and port is None:
             raise ValueError("serve needs a socket path and/or a TCP port")
+        if socket_path is not None:
+            # Refuse a live server's path before spawning anything.
+            socket_path = Path(socket_path)
+            evict_stale_socket(socket_path)
         await self.start()
         if socket_path is not None:
-            socket_path = Path(socket_path)
-            self._clear_stale_socket(socket_path)
             self._servers.append(
                 await asyncio.start_unix_server(
                     self._handle_client,

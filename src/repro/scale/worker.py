@@ -25,13 +25,14 @@ response bytes are built from the parsed request alone (the front's
 ``_trace`` envelope is popped first), so traced answers stay
 byte-identical to untraced ones.
 
-The worker exits when the front closes the connection (graceful drain)
-or disappears (EOF): workers never outlive their plane.
+The request protocol itself is :mod:`repro.serve.protocol`, the same
+code ``cellspot serve`` answers with.  The worker exits when the front
+closes the connection (graceful drain) or disappears (EOF): workers
+never outlive their plane.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import socket
 import time
@@ -41,13 +42,24 @@ from typing import Dict, Optional, Union
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.runtime.faults import fault_point, mark_worker_process
 from repro.scale.snapshot import IndexHolder, SnapshotCatalog
+from repro.serve import protocol
 
 #: How long a freshly spawned worker waits for the front to connect.
 ACCEPT_TIMEOUT_S = 30.0
 
 
-def _dumps(payload: Dict) -> bytes:
-    return (json.dumps(payload, separators=(",", ":")) + "\n").encode()
+class _SlowIndex:
+    """The slow-worker drill: lookups sleep first, inside the timed
+    region, so the sick replica shows in its own latency histogram
+    (the ``worker-latency-skew`` rule's food)."""
+
+    def __init__(self, index, delay_s: float) -> None:
+        self._index = index
+        self._delay_s = delay_s
+
+    def query(self, text):
+        time.sleep(self._delay_s)
+        return self._index.query(text)
 
 
 def worker_metrics(registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
@@ -164,9 +176,7 @@ class QueryWorker:
         self.requests = 0
         self.slot = slot
         self.obs = obs
-        #: Drill knob: sleep this long inside every timed lookup, so a
-        #: deliberately sick replica shows up in its own latency
-        #: histogram (the ``worker-latency-skew`` rule's food).
+        #: Drill knob: sleep this long inside every timed lookup.
         self.slow_query_s = slow_query_s
 
     def maybe_refresh(self, force: bool = False) -> bool:
@@ -199,65 +209,41 @@ class QueryWorker:
             if op == "refresh":
                 self.maybe_refresh(force=True)
                 return {"ok": True, "generation": self.holder.generation}
-            return {"ok": False, "error": f"unknown op {op!r}"}
+            return protocol.unknown_op(op)
         except Exception as exc:  # noqa: BLE001 -- the loop must survive
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            return protocol.error(f"{type(exc).__name__}: {exc}")
 
     def _handle_query(
         self, request: Dict, timings: Optional[Dict] = None
     ) -> Dict:
-        queries = request.get("qs")
-        single = request.get("q")
-        if queries is None and single is None:
-            return {"ok": False, "error": "query op needs 'q' or 'qs'"}
-        if queries is not None and not isinstance(queries, list):
-            return {"ok": False, "error": "'qs' must be a list"}
+        refusal = protocol.query_error(request)
+        if refusal is not None:
+            return refusal
         active = self.holder.current()
         if active is None:
             self.maybe_refresh(force=True)
             active = self.holder.current()
         if active is None:
-            return {
-                "ok": False,
-                "error": "no snapshot generation published yet",
-            }
-        _info, _table, index = active
+            return protocol.error("no snapshot generation published yet")
+        index = active[2]
+        if self.slow_query_s:
+            index = _SlowIndex(index, self.slow_query_s)
         latency = self.metrics.get("scale_worker_query_latency_seconds")
         counter = self.metrics.get("scale_worker_queries_total")
-        slow = self.slow_query_s
-
-        def answer(text) -> Dict:
-            started = time.perf_counter()
-            if slow:
-                time.sleep(slow)
-            result = index.query(str(text))
-            latency.observe(time.perf_counter() - started)
-            counter.inc()
-            return result.to_dict()
-
-        if timings is not None:
-            # Tracing must cost nothing per query: the LPM total for
-            # this line is the latency histogram's sum delta (the
-            # untraced path already feeds it), and the remainder of the
-            # batch wall time is enrichment.  Same closure either way,
-            # so tracing-on answers cannot drift.
-            lpm_before = latency.total
-            queries_before = counter.value
-            batch_started = time.perf_counter()
-
-        if queries is not None:
-            response = {
-                "ok": True, "results": [answer(item) for item in queries]
-            }
-        else:
-            response = {"ok": True, "result": answer(single)}
-
-        if timings is not None:
-            batch_elapsed = time.perf_counter() - batch_started
-            lpm = latency.total - lpm_before
-            timings["lpm"] = lpm
-            timings["enrich"] = max(0.0, batch_elapsed - lpm)
-            timings["queries"] = int(counter.value - queries_before)
+        if timings is None:
+            return protocol.answer_query(request, index, latency, counter)
+        # Tracing must cost nothing per query: the LPM total for this
+        # line is the latency histogram's sum delta (the untraced path
+        # already feeds it), and the remainder of the batch wall time
+        # is enrichment.  Same shared call either way, so tracing-on
+        # answers cannot drift.
+        lpm_before, queries_before = latency.total, counter.value
+        started = time.perf_counter()
+        response = protocol.answer_query(request, index, latency, counter)
+        elapsed = time.perf_counter() - started
+        timings["lpm"] = lpm = latency.total - lpm_before
+        timings["enrich"] = max(0.0, elapsed - lpm)
+        timings["queries"] = int(counter.value - queries_before)
         return response
 
     def stats(self) -> Dict:
@@ -278,19 +264,16 @@ class QueryWorker:
 
     def handle_line(self, line: bytes) -> bytes:
         decode_started = time.perf_counter()
-        try:
-            request = json.loads(line)
-        except ValueError as exc:
-            return _dumps({"ok": False, "error": f"bad JSON: {exc}"})
-        if not isinstance(request, dict):
-            return _dumps({"ok": False, "error": "request must be a JSON object"})
+        request, refusal = protocol.decode_request(line)
+        if refusal is not None:
+            return protocol.encode(refusal)
         # The front's trace envelope never reaches handle_request: the
         # response is built from the remaining fields alone, keeping
         # traced answers byte-identical to untraced ones.
         trace = request.pop("_trace", None)
         obs = self.obs
         if obs is None:
-            return _dumps(self.handle_request(request))
+            return protocol.encode(self.handle_request(request))
         decoded = time.perf_counter()
         generation = self.holder.generation
         rid = trace.get("rid", "") if isinstance(trace, dict) else ""
@@ -302,7 +285,7 @@ class QueryWorker:
         self._record_spans(
             trace, request, decode_started, decoded, timings, ok
         )
-        return _dumps(response)
+        return protocol.encode(response)
 
     def _record_spans(
         self,
@@ -335,42 +318,27 @@ class QueryWorker:
                 op=request.get("op"),
                 ok=ok,
             )
+
+            def child(name, started, duration, **attributes) -> Dict:
+                return obs.spans.build(
+                    name, trace_id, started=started, duration=duration,
+                    parent_id=parent["sid"], request_id=rid, **attributes,
+                )
+
             tree = [
                 parent,
-                obs.spans.build(
-                    "worker.decode",
-                    trace_id,
-                    started=decode_started,
-                    duration=decoded - decode_started,
-                    parent_id=parent["sid"],
-                    request_id=rid,
-                ),
+                child("worker.decode", decode_started, decoded - decode_started),
             ]
-            if timings["queries"]:
+            queries = timings["queries"]
+            if queries:
                 # Aggregate children: total LPM lookup time, then total
                 # result enrichment, across the line's queries.
-                tree.append(
-                    obs.spans.build(
-                        "worker.lpm",
-                        trace_id,
-                        started=decoded,
-                        duration=timings["lpm"],
-                        parent_id=parent["sid"],
-                        request_id=rid,
-                        queries=timings["queries"],
-                    )
-                )
-                tree.append(
-                    obs.spans.build(
-                        "worker.enrich",
-                        trace_id,
-                        started=decoded + timings["lpm"],
-                        duration=timings["enrich"],
-                        parent_id=parent["sid"],
-                        request_id=rid,
-                        queries=timings["queries"],
-                    )
-                )
+                lpm = timings["lpm"]
+                tree.append(child("worker.lpm", decoded, lpm, queries=queries))
+                tree.append(child(
+                    "worker.enrich", decoded + lpm, timings["enrich"],
+                    queries=queries,
+                ))
             obs.spans.write(tree)
         except Exception:  # noqa: BLE001 -- telemetry must not fail requests
             pass

@@ -7,8 +7,11 @@ cellular?* -- and this package turns the streaming engine
 - :mod:`repro.serve.index` -- the LPM query engine: per-family radix
   tries over compiled classification state (ratio, threshold label,
   confidence tier, AS verdict, demand share);
-- :mod:`repro.serve.service` -- the serving front end: line-delimited
-  JSON request/response over stdin/stdout or an AF_UNIX socket, with
+- :mod:`repro.serve.protocol` -- the line-delimited JSON request
+  protocol, shared with the horizontal serving plane
+  (:mod:`repro.scale`);
+- :mod:`repro.serve.service` -- the serving front end: the protocol
+  over stdin/stdout or an AF_UNIX socket, with
   periodic atomic snapshots for crash-resume, and
   :func:`~repro.serve.service.service_metrics`, the serving metric set
   (built from the :mod:`repro.obs.metrics` primitives) behind the
@@ -18,25 +21,18 @@ cellular?* -- and this package turns the streaming engine
 wrappers over :class:`~repro.serve.service.CellSpotService`.
 """
 
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.serve.index import ClassificationIndex, IndexEntry, QueryResult
 from repro.serve.service import (
     CellSpotService,
     ServiceConfig,
-    install_sigusr1_stats,
     service_metrics,
 )
 
 __all__ = [
     "CellSpotService",
     "ClassificationIndex",
-    "Counter",
-    "Gauge",
-    "Histogram",
     "IndexEntry",
-    "MetricsRegistry",
     "QueryResult",
     "ServiceConfig",
-    "install_sigusr1_stats",
     "service_metrics",
 ]

@@ -16,6 +16,9 @@ Protocol (one JSON object per line)::
     {"op": "snapshot"}                             -> force a state snapshot
     {"op": "shutdown"}                             -> snapshot, ack, stop
 
+The protocol itself -- request decoding, the ``query`` op, the shed
+and alert payloads, the reply encoding -- is
+:mod:`repro.serve.protocol`, shared with ``cellspot serve-scale``.
 Every response carries ``{"ok": true|false}``; malformed requests are
 answered (never crash the loop) and counted in
 ``query_errors_total``.
@@ -40,9 +43,8 @@ request stream (installed by the CLI front end, main thread only).
 silently:
 
 - *Admission control* -- with ``max_pending`` set, requests beyond the
-  bounded queue are shed with ``{"ok": false, "error": "overloaded",
-  "overloaded": true}`` (in request order), counted in
-  ``requests_shed_total``.
+  bounded queue are shed with the protocol's ``overloaded`` answer (in
+  request order), counted in ``requests_shed_total``.
 - *Deadlines* -- with ``deadline_s`` set, batch-query items past the
   request's budget are answered ``overloaded`` instead of holding the
   line occupied.
@@ -63,7 +65,6 @@ and return cleanly.
 
 from __future__ import annotations
 
-import json
 import logging
 import queue
 import threading
@@ -79,6 +80,7 @@ from repro.datasets.demand_dataset import DemandDataset
 from repro.obs.metrics import MetricsRegistry
 from repro.runtime.faults import fault_point
 from repro.runtime.logging import get_logger, log_event
+from repro.serve import protocol
 from repro.serve.index import ClassificationIndex
 from repro.stream.engine import StreamEngine
 
@@ -188,10 +190,6 @@ def service_metrics(
         exist_ok=True,
     )
     registry.counter(
-        "events_quarantined_total", "malformed events rejected by policy",
-        exist_ok=True,
-    )
-    registry.counter(
         "window_advances_total", "windows closed into aggregate",
         exist_ok=True,
     )
@@ -273,7 +271,6 @@ class CellSpotService:
         metrics: Optional[MetricsRegistry] = None,
         alert_engine=None,
         drift_monitor=None,
-        ratio_spool_dir: Optional[Union[str, Path]] = None,
     ) -> None:
         self.engine = engine
         self.demand = demand
@@ -292,18 +289,6 @@ class CellSpotService:
         self.drift_monitor = drift_monitor
         if drift_monitor is not None:
             engine.attach_monitor(drift_monitor)
-        #: When set, index rebuilds spool the ratio table through an
-        #: mmap snapshot (:mod:`repro.scale.snapshot`) and build from
-        #: the read-only mapping: the rebuild's working set is shared
-        #: pages instead of a second in-heap record copy, and each
-        #: published generation doubles as a handoff point for the
-        #: horizontal serving plane's workers.
-        self._ratio_spool = None
-        self._spool_table = None
-        if ratio_spool_dir is not None:
-            from repro.scale.snapshot import SnapshotCatalog
-
-            self._ratio_spool = SnapshotCatalog(ratio_spool_dir)
         self._index: Optional[ClassificationIndex] = None
         self._index_events = -1  # events_consumed at last build
         self._windows_at_build = -1
@@ -443,48 +428,6 @@ class CellSpotService:
             self.metrics.get("degraded_mode").set(0.0)
             log_event(_LOG, logging.INFO, "serve.recovered")
 
-    def _rebuild_table(self):
-        """The ratio table a rebuild compiles, spooled through mmap
-        when a spool directory is configured.
-
-        The spool publishes the table as the next snapshot generation
-        (write-then-rename, see
-        :class:`repro.scale.snapshot.SnapshotCatalog`) and maps it
-        back read-only, so the build iterates shared pages instead of
-        a second heap copy -- and external consumers (the serving
-        plane's workers, ``cellspot loadgen``) can map the very same
-        generation.  Decayed window policies hold fractional counts
-        that the int64 snapshot format refuses, so only exact
-        (``decay == 1.0``) engines spool; others fall back to the
-        in-heap table.  Spool failures propagate into the caller's
-        circuit-breaker path like any other rebuild failure.
-        """
-        table = self.engine.ratio_table(self.config.min_api_hits)
-        if self._ratio_spool is None or not self.engine.policy.is_exact:
-            return table
-        from repro.columnar.mmaptable import open_mmap
-
-        info = self._ratio_spool.publish(
-            table,
-            meta={
-                "events": self.engine.events_consumed,
-                "windows": self.engine.windows_advanced,
-                "month": self.engine.month,
-            },
-        )
-        mapped = open_mmap(info.table_path)
-        # Index entries copy record fields out of the mapping, so the
-        # superseded generation's pages are safe to release now.
-        if self._spool_table is not None:
-            self._spool_table.close()
-        self._spool_table = mapped
-        self._ratio_spool.prune(keep=2)
-        log_event(
-            _LOG, logging.INFO, "index.spooled",
-            generation=info.number, path=str(info.table_path),
-        )
-        return mapped
-
     def index(self, force: bool = False) -> ClassificationIndex:
         """The current LPM index, rebuilt if stale (or ``force``).
 
@@ -507,7 +450,7 @@ class CellSpotService:
         try:
             fault_point("serve.refresh")
             built = ClassificationIndex.build(
-                self._rebuild_table(),
+                self.engine.ratio_table(self.config.min_api_hits),
                 demand=self.demand,
                 threshold=self.config.threshold,
                 min_api_hits=self.config.min_api_hits,
@@ -550,15 +493,20 @@ class CellSpotService:
 
     # ---- request handling ------------------------------------------------
 
+    def _engine_summary(self) -> Dict:
+        return {
+            "month": self.engine.month,
+            "events_consumed": self.engine.events_consumed,
+            "windows_advanced": self.engine.windows_advanced,
+            "window_fill": self.engine.state.window_fill,
+            "subnets": self.engine.subnet_count(),
+        }
+
     def stats(self) -> Dict:
         return {
             "ok": True,
             "engine": {
-                "month": self.engine.month,
-                "events_consumed": self.engine.events_consumed,
-                "windows_advanced": self.engine.windows_advanced,
-                "window_fill": self.engine.state.window_fill,
-                "subnets": self.engine.subnet_count(),
+                **self._engine_summary(),
                 "policy": {
                     "window_events": self.engine.policy.window_events,
                     "decay": self.engine.policy.decay,
@@ -578,19 +526,11 @@ class CellSpotService:
         response, cheap enough to poll every second (no index rebuild,
         no ratio-table materialization).
         """
-        import time as time_module
-
         latency = self.metrics.get("query_latency_seconds")
         payload = {
             "ok": True,
-            "ts": time_module.time(),
-            "engine": {
-                "month": self.engine.month,
-                "events_consumed": self.engine.events_consumed,
-                "windows_advanced": self.engine.windows_advanced,
-                "window_fill": self.engine.state.window_fill,
-                "subnets": self.engine.subnet_count(),
-            },
+            "ts": time.time(),
+            "engine": self._engine_summary(),
             "rates": {
                 "events_per_s": self.metrics.rate("events_ingested_total"),
                 "queries_per_s": self.metrics.rate("queries_total"),
@@ -604,27 +544,9 @@ class CellSpotService:
                 if self.drift_monitor is not None
                 else {}
             ),
-            "alerts": (
-                self.alert_engine.snapshot()
-                if self.alert_engine is not None
-                else []
-            ),
         }
-        if self.alert_engine is not None:
-            payload["alert_counts"] = self.alert_engine.counts()
+        payload.update(protocol.alert_health(self.alert_engine))
         return payload
-
-    def alerts(self) -> Dict:
-        """Alert rule states plus recent transitions."""
-        if self.alert_engine is None:
-            return {"ok": True, "rules": [], "events": [],
-                    "note": "no alert engine configured"}
-        return {
-            "ok": True,
-            "rules": self.alert_engine.snapshot(),
-            "events": self.alert_engine.events[-100:],
-            "trace_id": self.alert_engine.trace_id,
-        }
 
     def handle_request(self, request: Dict) -> Dict:
         """Answer one request dict; never raises."""
@@ -639,14 +561,14 @@ class CellSpotService:
             if op == "health":
                 return self.health()
             if op == "alerts":
-                return self.alerts()
+                return protocol.alerts_payload(self.alert_engine)
             if op == "refresh":
                 index = self.index(force=True)
                 return {"ok": True, "index_entries": len(index)}
             if op == "snapshot":
                 path = self.write_snapshot()
                 if path is None:
-                    return {"ok": False, "error": "no snapshot path configured"}
+                    return protocol.error("no snapshot path configured")
                 return {"ok": True, "snapshot": str(path)}
             if op == "shutdown":
                 self.shutdown_requested = True
@@ -657,81 +579,43 @@ class CellSpotService:
                     "snapshot": str(path) if path else None,
                 }
             self.metrics.get("query_errors_total").inc()
-            return {"ok": False, "error": f"unknown op {op!r}"}
+            return protocol.unknown_op(op)
         except Exception as exc:  # noqa: BLE001 -- the loop must survive
             self.metrics.get("query_errors_total").inc()
+            refusal = protocol.error(f"{type(exc).__name__}: {exc}")
             log_event(
-                _LOG, logging.ERROR, "request.failed",
-                error=f"{type(exc).__name__}: {exc}",
+                _LOG, logging.ERROR, "request.failed", error=refusal["error"]
             )
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
+            return refusal
 
     def _handle_query(self, request: Dict) -> Dict:
-        queries = request.get("qs")
-        single = request.get("q")
-        if queries is None and single is None:
-            self.metrics.get("query_errors_total").inc()
-            return {"ok": False, "error": "query op needs 'q' or 'qs'"}
-        if queries is not None and not isinstance(queries, list):
-            self.metrics.get("query_errors_total").inc()
-            return {"ok": False, "error": "'qs' must be a list"}
-        index = self.index()
-        latency = self.metrics.get("query_latency_seconds")
-        counter = self.metrics.get("queries_total")
-        deadline = (
-            time.perf_counter() + self.config.deadline_s
-            if self.config.deadline_s is not None
-            else None
+        errors = self.metrics.get("query_errors_total")
+        refusal = protocol.query_error(request)
+        if refusal is not None:
+            errors.inc()
+            return refusal
+        response = protocol.answer_query(
+            request,
+            self.index(),
+            self.metrics.get("query_latency_seconds"),
+            self.metrics.get("queries_total"),
+            errors=errors,
+            deadline_s=self.config.deadline_s,
+            shed=self.metrics.get("requests_shed_total"),
         )
-
-        def answer(text) -> Dict:
-            started = time.perf_counter()
-            result = index.query(str(text))
-            latency.observe(time.perf_counter() - started)
-            counter.inc()
-            if result.error is not None:
-                self.metrics.get("query_errors_total").inc()
-            return result.to_dict()
-
-        def over_deadline() -> bool:
-            return deadline is not None and time.perf_counter() > deadline
-
-        def finish(response: Dict) -> Dict:
-            if self.degraded:
-                # Explicit staleness: degraded answers come from the
-                # last good index, and the client must know.
-                response["stale"] = True
-                self.metrics.get("degraded_answers_total").inc()
-            return response
-
-        if queries is not None:
-            results = []
-            for item in queries:
-                if over_deadline():
-                    self.metrics.get("requests_shed_total").inc()
-                    results.append(
-                        {"ok": False, "error": "overloaded",
-                         "overloaded": True}
-                    )
-                    continue
-                results.append(answer(item))
-            return finish({"ok": True, "results": results})
-        return finish({"ok": True, "result": answer(single)})
+        if self.degraded:
+            # Explicit staleness: degraded answers come from the last
+            # good index, and the client must know.
+            response["stale"] = True
+            self.metrics.get("degraded_answers_total").inc()
+        return response
 
     def handle_line(self, line: str) -> Dict:
         """Parse one protocol line and answer it; never raises."""
-        stripped = line.strip()
-        if not stripped:
+        request, refusal = protocol.decode_request(line)
+        if refusal is not None:
             self.metrics.get("query_errors_total").inc()
-            return {"ok": False, "error": "empty request line"}
-        try:
-            request = json.loads(stripped)
-        except ValueError as exc:
-            self.metrics.get("query_errors_total").inc()
-            return {"ok": False, "error": f"bad JSON: {exc}"}
-        if not isinstance(request, dict):
-            self.metrics.get("query_errors_total").inc()
-            return {"ok": False, "error": "request must be a JSON object"}
+            return refusal
         return self.handle_request(request)
 
     # ---- serve loops -----------------------------------------------------
@@ -763,6 +647,12 @@ class CellSpotService:
         admitted = 0
         pending_gauge = self.metrics.get("pending_requests")
         eof_seen = False
+
+        def respond(reply: bytes) -> None:
+            nonlocal answered
+            responses.write(reply.decode())
+            responses.flush()
+            answered += 1
 
         def feed() -> None:
             nonlocal admitted
@@ -797,20 +687,14 @@ class CellSpotService:
                 break
             if kind == "shed":
                 self.metrics.get("requests_shed_total").inc()
-                response = {
-                    "ok": False, "error": "overloaded", "overloaded": True,
-                }
+                respond(protocol.OVERLOADED_LINE)
             else:
                 with admit_lock:
                     admitted -= 1
                     pending_gauge.set(float(admitted))
                 if events is not None:
                     self.ingest_from(events)
-                response = self.handle_line(line)
-            responses.write(json.dumps(response, separators=(",", ":")))
-            responses.write("\n")
-            responses.flush()
-            answered += 1
+                respond(protocol.encode(self.handle_line(line)))
             if self.shutdown_requested and not self._drain_on_shutdown:
                 # The shutdown *op* stops immediately (it already
                 # snapshotted); queued lines are intentionally dropped.
@@ -823,13 +707,8 @@ class CellSpotService:
                     kind, line = pending.get_nowait()
                 except queue.Empty:
                     break
-                if kind != "line":
-                    continue
-                response = self.handle_line(line)
-                responses.write(json.dumps(response, separators=(",", ":")))
-                responses.write("\n")
-                responses.flush()
-                answered += 1
+                if kind == "line":
+                    respond(protocol.encode(self.handle_line(line)))
             self.write_snapshot(raise_errors=False)
         elif eof_seen and not self.shutdown_requested:
             # EOF without an explicit shutdown: drain and snapshot so a
@@ -856,26 +735,16 @@ class CellSpotService:
         order) and stops after a ``shutdown`` op or
         ``max_connections``.  Returns the number of requests answered.
 
-        A leftover socket file from a crashed server is probed with a
-        connect: refused means nobody is listening, so the stale file
-        is removed and the bind proceeds; a live listener raises
-        ``OSError`` instead of silently hijacking the path.  SIGTERM
+        A crashed server's leftover socket file is evicted; a live
+        server's raises ``OSError``
+        (:func:`~repro.serve.protocol.evict_stale_socket`).  SIGTERM
         (:meth:`request_shutdown`) is noticed between lines -- reads
         carry a short timeout -- and ends with a final snapshot.
         """
         import socket as socket_module
 
         socket_path = Path(socket_path)
-        if socket_path.exists():
-            if _socket_is_live(socket_path):
-                raise OSError(
-                    f"socket {socket_path} is in use by a live server"
-                )
-            log_event(
-                _LOG, logging.WARNING, "serve.socket.stale_removed",
-                path=socket_path,
-            )
-            socket_path.unlink()
+        protocol.evict_stale_socket(socket_path)
         server = socket_module.socket(
             socket_module.AF_UNIX, socket_module.SOCK_STREAM
         )
@@ -903,7 +772,7 @@ class CellSpotService:
                     # protocol; clients write whole lines.)
                     connection.settimeout(0.5)
                     reader = connection.makefile("r")
-                    writer = connection.makefile("w")
+                    writer = connection.makefile("wb")
                     while not self.shutdown_requested:
                         try:
                             line = reader.readline()
@@ -915,11 +784,7 @@ class CellSpotService:
                             break  # client went away mid-line
                         if not line:
                             break  # client EOF
-                        response = self.handle_line(line)
-                        writer.write(
-                            json.dumps(response, separators=(",", ":"))
-                        )
-                        writer.write("\n")
+                        writer.write(protocol.encode(self.handle_line(line)))
                         writer.flush()
                         answered += 1
                 connections += 1
@@ -934,30 +799,6 @@ class CellSpotService:
             if socket_path.exists():
                 socket_path.unlink()
         return answered
-
-
-def _socket_is_live(socket_path: Path, timeout_s: float = 0.2) -> bool:
-    """True when something is accepting connections on ``socket_path``.
-
-    A crashed server leaves its socket file behind (unlink-on-exit
-    never ran); connecting to such a corpse fails with
-    ``ECONNREFUSED``, which is how we tell a stale file from a live
-    server we must not evict.
-    """
-    import socket as socket_module
-
-    probe = socket_module.socket(
-        socket_module.AF_UNIX, socket_module.SOCK_STREAM
-    )
-    probe.settimeout(timeout_s)
-    try:
-        probe.connect(str(socket_path))
-    except OSError:
-        return False
-    else:
-        return True
-    finally:
-        probe.close()
 
 
 def install_sigusr1_registry(registry, stream=None) -> bool:
@@ -986,7 +827,3 @@ def install_sigusr1_registry(registry, stream=None) -> bool:
         return False
     return True
 
-
-def install_sigusr1_stats(service: CellSpotService, stream=None) -> bool:
-    """Dump the service's metrics JSON to ``stream`` on ``SIGUSR1``."""
-    return install_sigusr1_registry(service.metrics, stream=stream)

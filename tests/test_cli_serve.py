@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 
 import pytest
 
@@ -56,6 +57,23 @@ class TestArgumentValidation:
             ["serve", "--events", str(hits_file), "--generate"]
         ) == 2
         assert "mutually exclusive" in capsys.readouterr().err
+
+    def test_serve_scale_refuses_stdin_events_at_once(
+        self, capsys, tmp_path
+    ):
+        # The builder runs in its own process and cannot read this
+        # process's stdin: refuse up front instead of waiting out the
+        # startup timeout for a generation that never comes.
+        started = time.monotonic()
+        code = main([
+            "serve-scale", "--snapshot-dir", str(tmp_path / "cat"),
+            "--socket", str(tmp_path / "p.sock"), "--events", "-",
+        ])
+        elapsed = time.monotonic() - started
+        assert code == 2
+        assert "own process" in capsys.readouterr().err
+        assert elapsed < 5.0  # the startup timeout is 120s
+        assert not (tmp_path / "cat").exists()
 
 
 class TestServeCommand:

@@ -26,13 +26,13 @@ from repro.cdn.beacon import BeaconConfig
 from repro.obs.metrics import MetricsRegistry
 from repro.scale.plane import (
     PlaneConfig,
-    SHED_RESPONSE,
     ServingPlane,
     merge_histogram_dicts,
     plane_metrics,
 )
 from repro.scale.snapshot import SnapshotCatalog
 from repro.scale.worker import QueryWorker
+from repro.serve.protocol import OVERLOADED_LINE
 from repro.serve.service import CellSpotService
 from repro.stream.engine import StreamEngine
 from repro.stream.sources import generated_events
@@ -184,21 +184,6 @@ class TestMergeHistogramDicts:
 
 
 class TestQueryWorkerProtocol:
-    def test_protocol_errors(self, tmp_path):
-        worker = QueryWorker(SnapshotCatalog(tmp_path / "cat"), 0.5, 1)
-        bad = json.loads(worker.handle_line(b"{not json"))
-        assert bad["ok"] is False and "bad JSON" in bad["error"]
-        not_object = json.loads(worker.handle_line(b"[1,2]"))
-        assert not_object["ok"] is False
-        unknown = json.loads(worker.handle_line(b'{"op":"nope"}'))
-        assert unknown["ok"] is False and "unknown op" in unknown["error"]
-        missing = json.loads(worker.handle_line(b'{"op":"query"}'))
-        assert "'q' or 'qs'" in missing["error"]
-        bad_batch = json.loads(
-            worker.handle_line(b'{"op":"query","qs":"x"}')
-        )
-        assert "'qs' must be a list" in bad_batch["error"]
-
     def test_query_before_any_generation(self, tmp_path):
         worker = QueryWorker(SnapshotCatalog(tmp_path / "cat"), 0.5, 1)
         response = json.loads(
@@ -255,22 +240,13 @@ class TestFrontHardening:
     def run(self, coroutine):
         return asyncio.run(coroutine)
 
-    def test_bad_json_and_unknown_op(self, tmp_path):
-        plane = self.make_plane(tmp_path)
-        response = json.loads(self.run(plane.handle_line(b"{oops")))
-        assert response["ok"] is False and "bad JSON" in response["error"]
-        response = json.loads(self.run(plane.handle_line(b"[]")))
-        assert response["ok"] is False
-        response = json.loads(self.run(plane.handle_line(b'{"op":"x"}')))
-        assert "unknown op" in response["error"]
-
     def test_admission_control_sheds_beyond_max_pending(self, tmp_path):
         plane = self.make_plane(tmp_path)
         plane._pending = plane.config.max_pending
         response = self.run(
             plane.handle_line(b'{"op":"query","q":"192.0.2.1"}')
         )
-        assert response == SHED_RESPONSE
+        assert response == OVERLOADED_LINE
         assert plane.metrics.get("scale_shed_total").value == 1
         assert plane._pending == plane.config.max_pending  # untouched
 
@@ -280,7 +256,7 @@ class TestFrontHardening:
         response = self.run(
             plane.handle_line(b'{"op":"query","q":"192.0.2.1"}')
         )
-        assert response == SHED_RESPONSE
+        assert response == OVERLOADED_LINE
 
     def test_deadline_sheds_when_no_worker_frees_up(self, tmp_path):
         plane = self.make_plane(tmp_path, deadline_s=0.05)
@@ -295,7 +271,7 @@ class TestFrontHardening:
             return response, time.perf_counter() - started
 
         response, elapsed = self.run(scenario())
-        assert response == SHED_RESPONSE
+        assert response == OVERLOADED_LINE
         assert elapsed < 5.0
         assert plane.metrics.get("scale_shed_total").value == 1
         assert plane.metrics.get("scale_request_latency_seconds").count == 1
@@ -308,10 +284,10 @@ class TestFrontHardening:
                 b'{"op":"query","q":"x"}', time.perf_counter() - 1.0
             )
 
-        assert self.run(scenario()) == SHED_RESPONSE
+        assert self.run(scenario()) == OVERLOADED_LINE
 
     def test_shed_response_is_the_service_shape(self):
-        assert json.loads(SHED_RESPONSE) == {
+        assert json.loads(OVERLOADED_LINE) == {
             "ok": False, "error": "overloaded", "overloaded": True,
         }
 

@@ -100,7 +100,6 @@ def test_service_metrics_registers_the_serving_set():
     registry = service_metrics()
     for name in (
         "events_ingested_total",
-        "events_quarantined_total",
         "window_advances_total",
         "queries_total",
         "query_errors_total",

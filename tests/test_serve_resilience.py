@@ -14,7 +14,6 @@ from repro.serve.service import (
     CellSpotService,
     CircuitBreaker,
     ServiceConfig,
-    _socket_is_live,
 )
 from repro.runtime.faults import FaultPlan, FaultSpec, chaos
 from repro.stream import StreamEngine, WindowPolicy
@@ -239,7 +238,6 @@ class TestSocketProbe:
         corpse.bind(str(socket_path))
         corpse.close()  # no unlink: simulates a crashed server
         assert socket_path.exists()
-        assert not _socket_is_live(socket_path)
 
         service = _service(beacon_hits)
         worker = threading.Thread(
@@ -267,7 +265,6 @@ class TestSocketProbe:
         listener.bind(str(socket_path))
         listener.listen(1)
         try:
-            assert _socket_is_live(socket_path)
             service = _service(beacon_hits)
             with pytest.raises(OSError, match="live server"):
                 service.serve_socket(socket_path)

@@ -14,7 +14,7 @@ from repro.net.addr import format_ip
 from repro.serve.service import (
     CellSpotService,
     ServiceConfig,
-    install_sigusr1_stats,
+    install_sigusr1_registry,
 )
 from repro.stream import StreamEngine, WindowPolicy
 
@@ -248,7 +248,7 @@ class TestSigusr1:
 
         service = _service(beacon_hits[:100])
         sink = io.StringIO()
-        assert install_sigusr1_stats(service, stream=sink)
+        assert install_sigusr1_registry(service.metrics, stream=sink)
         try:
             os.kill(os.getpid(), signal.SIGUSR1)
             payload = json.loads(sink.getvalue())
