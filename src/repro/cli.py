@@ -24,7 +24,9 @@ enables structured logging on stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
+import tempfile
 from pathlib import Path
 
 from repro.experiments.base import (
@@ -577,15 +579,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"resumed from snapshot: {resumed:,} events already "
               f"consumed, {engine.subnet_count():,} subnets",
               file=sys.stderr)
-    if args.drill_leak:
-        from repro.obs.resources import LeakDrill
-
-        try:
-            engine.leak_drill = LeakDrill.parse(args.drill_leak)
-        except ValueError:
-            print("error: --drill-leak wants BYTES:WINDOWS "
-                  "(e.g. 4194304:20)", file=sys.stderr)
-            return 2
     service = _make_service(
         args, engine, alert_engine=alert_engine, drift_monitor=drift_monitor
     )
@@ -668,15 +661,6 @@ def _cmd_serve_scale(args: argparse.Namespace) -> int:
     except (ValueError, AlertRuleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    drill = None
-    if args.drill_slow_worker:
-        try:
-            slot_text, seconds_text = args.drill_slow_worker.split(":", 1)
-            drill = (int(slot_text), float(seconds_text))
-        except ValueError:
-            print("error: --drill-slow-worker wants SLOT:SECONDS "
-                  "(e.g. 0:0.005)", file=sys.stderr)
-            return 2
     obs_dir = args.obs_dir
     if obs_dir is None and scraper is not None:
         # Telemetry is on: default the distributed-obs layer next to
@@ -692,7 +676,6 @@ def _cmd_serve_scale(args: argparse.Namespace) -> int:
             obs_dir=obs_dir,
             obs_scrape_interval_s=args.scrape_interval,
             flight_records=args.flight_records,
-            drill_slow_worker=drill,
         )
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1599,7 +1582,14 @@ def _stop_telemetry(scraper) -> None:
 
 
 def _add_telemetry_options(parser: argparse.ArgumentParser) -> None:
-    """Continuous-telemetry knobs (time-series scraping + alerting)."""
+    """Run-wide knobs of ``all`` / ``serve`` / ``serve-scale``:
+    continuous telemetry (time-series scraping + alerting) and the
+    fault plan."""
+    parser.add_argument(
+        "--fault-plan", default=None, metavar="FILE",
+        help="arm this TOML/JSON fault plan for the whole run, in every "
+             "process it starts (drills: examples/fault_plans/)",
+    )
     parser.add_argument(
         "--timeseries-dir", default=None, metavar="DIR",
         help="append fixed-interval metric samples to a bounded ring of "
@@ -1813,13 +1803,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-request wall budget; batch items past it are "
              "answered 'overloaded' (default: none)",
     )
-    serve.add_argument(
-        "--drill-leak", default=None, metavar="BYTES:WINDOWS",
-        help="drill: retain BYTES of heap ballast at every window "
-             "close, released after WINDOWS closes -- exercises the "
-             "rss-growth leak alert end to end (fires while the "
-             "ballast accumulates, resolves after the release)",
-    )
     _add_telemetry_options(serve)
     _add_common(serve)
     serve.set_defaults(func=_cmd_serve)
@@ -1899,12 +1882,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--flight-records", type=_positive_int, default=128, metavar="N",
         help="slots in each worker's crash flight-recorder ring "
              "(default: 128)",
-    )
-    serve_scale.add_argument(
-        "--drill-slow-worker", default=None, metavar="SLOT:SECONDS",
-        help="drill: slow every query on worker SLOT's first "
-             "incarnation by SECONDS (a respawn heals it) -- exercises "
-             "the worker-latency-skew alert end to end",
     )
     _add_telemetry_options(serve_scale)
     serve_scale.set_defaults(func=_cmd_serve_scale)
@@ -2148,16 +2125,35 @@ def main(argv=None) -> int:
         set_run_id()
     from repro.obs import observed_command
 
+    plan = None
+    if getattr(args, "fault_plan", None):
+        from repro.runtime.faults import FaultPlanError, load_fault_plan
+
+        try:
+            plan = load_fault_plan(args.fault_plan)
+        except FaultPlanError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     prof_sample = bool(getattr(args, "prof_sample", False))
-    with observed_command(
-        args.command,
-        metrics_out=getattr(args, "metrics_out", None),
-        trace_out=getattr(args, "trace_out", None),
-        prof_sample=prof_sample,
-        prof_sample_out=_prof_sample_out(args) if prof_sample else None,
-        prof_sample_interval_s=getattr(args, "prof_sample_interval", 0.01),
-    ):
-        return args.func(args)
+    with contextlib.ExitStack() as stack:
+        if plan is not None:
+            from repro.runtime.faults import chaos
+
+            # A per-run ledger: ``times`` bounds hold across every
+            # process of this run, and a later run starts unspent.
+            ledger = stack.enter_context(
+                tempfile.TemporaryDirectory(prefix="cellspot-faults-")
+            )
+            stack.enter_context(chaos(plan, state_dir=ledger))
+        with observed_command(
+            args.command,
+            metrics_out=getattr(args, "metrics_out", None),
+            trace_out=getattr(args, "trace_out", None),
+            prof_sample=prof_sample,
+            prof_sample_out=_prof_sample_out(args) if prof_sample else None,
+            prof_sample_interval_s=getattr(args, "prof_sample_interval", 0.01),
+        ):
+            return args.func(args)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,6 @@ from repro.experiments.base import (
     Comparison,
     ExperimentResult,
     EXPERIMENT_MODULES,
-    INJECT_FAIL_ENV,
     get_runner,
     load_all,
     run_all,
@@ -25,7 +24,6 @@ __all__ = [
     "Comparison",
     "EXPERIMENT_MODULES",
     "ExperimentResult",
-    "INJECT_FAIL_ENV",
     "get_runner",
     "load_all",
     "run_all",

@@ -14,7 +14,6 @@ the paper's, and ordering/shape checks are encoded as comparisons too.
 from __future__ import annotations
 
 import importlib
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -27,10 +26,6 @@ from repro.runtime.guard import (
     run_guarded,
     skipped_outcome,
 )
-
-#: Env var naming an experiment id forced to raise inside the guard.
-#: CI uses it to prove ``cellspot all`` survives a failing experiment.
-INJECT_FAIL_ENV = "CELLSPOT_INJECT_FAIL"
 
 
 @dataclass(frozen=True)
@@ -166,12 +161,6 @@ def run_all(lab: Lab) -> Dict[str, ExperimentResult]:
     }
 
 
-def _injected_failures() -> List[str]:
-    """Experiment ids the environment forces to fail (CI fault drills)."""
-    raw = os.environ.get(INJECT_FAIL_ENV, "")
-    return [token.strip() for token in raw.split(",") if token.strip()]
-
-
 def run_all_guarded(
     lab: Lab,
     guard: GuardConfig = GuardConfig(),
@@ -185,10 +174,14 @@ def run_all_guarded(
     rest still run.  With ``checkpoint``, completed experiments are
     marked done as the run goes, and experiments already marked done
     come back as ``skipped`` -- the crash-then-resume path of
-    ``cellspot all --checkpoint``.
+    ``cellspot all --checkpoint``.  Each call passes the
+    ``experiment.<id>`` fault site inside the guard, so a fault plan
+    can force one experiment to fail.
     """
+    # Imported on use, so ``import repro.cli`` stays as light as before.
+    from repro.runtime.faults import fault_point
+
     runners = load_all()
-    injected = set(_injected_failures())
     outcomes: Dict[str, ExperimentOutcome] = {}
     for experiment_id, runner in runners.items():
         if checkpoint is not None and checkpoint.is_done(experiment_id):
@@ -198,10 +191,7 @@ def run_all_guarded(
             continue
 
         def invoke(runner=runner, experiment_id=experiment_id):
-            if experiment_id in injected:
-                raise RuntimeError(
-                    f"injected failure ({INJECT_FAIL_ENV}={experiment_id})"
-                )
+            fault_point(f"experiment.{experiment_id}")
             return runner(lab)
 
         outcome = run_guarded(experiment_id, invoke, guard)

@@ -81,7 +81,6 @@ from repro.obs.postmortem import (
     to_chrome_trace as postmortem_chrome_trace,
 )
 from repro.obs.resources import (
-    LeakDrill,
     ResourceSampler,
     count_open_fds,
     read_io,
@@ -272,7 +271,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LabeledGauge",
-    "LeakDrill",
     "MetricScraper",
     "MetricsRegistry",
     "NullMetric",

@@ -28,9 +28,10 @@ serving-plane worker reports its own high-water mark.  The RSS read is
 throttled (default 20ms) so serving paths that open thousands of spans
 per second pay a cached comparison, not a ``/proc`` read, per span.
 
-:class:`LeakDrill` is the CI counterpart: deliberately retained
-ballast per closed stream window, so the ``rss-growth`` leak alert can
-be proven to fire -- and, once the drill releases, resolve -- against
+'leak``/``release`` faults at the ``stream.window`` site
+(:mod:`repro.runtime.faults`) are the counterpart: deliberately
+retained ballast per closed stream window, so the ``rss-growth`` leak
+alert can be proven to fire -- and, once released, resolve -- against
 a real process.
 """
 
@@ -47,7 +48,7 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from repro.obs.metrics import MetricsRegistry, global_registry
 from repro.obs.trace import add_span_exit_hook, remove_span_exit_hook
-from repro.runtime.logging import format_bytes, get_logger, log_event
+from repro.runtime.logging import get_logger, log_event
 
 _LOG = get_logger("obs.resources")
 
@@ -534,66 +535,3 @@ class ResourceSampler:
     def watermarks(self) -> Dict[str, float]:
         """Per-stage peak-RSS watermarks recorded so far."""
         return self._metrics()["watermarks"].values()
-
-
-class LeakDrill:
-    """Deliberately retained ballast per closed stream window.
-
-    The CI ``resource-smoke`` job attaches one of these to the stream
-    engine (``cellspot serve --drill-leak BYTES:WINDOWS``): every
-    window close retains ``bytes_per_window`` more ballast, so RSS
-    climbs linearly and the ``rss-growth`` alert fires on a *real*
-    leak; after ``windows`` closes the ballast is released in one go,
-    RSS growth stops, and the alert resolves.  Deterministic, bounded,
-    and impossible to leave enabled by accident (the release is part
-    of the drill).
-    """
-
-    def __init__(self, bytes_per_window: int, windows: int) -> None:
-        if bytes_per_window < 1 or windows < 1:
-            raise ValueError("drill needs positive bytes and windows")
-        self.bytes_per_window = bytes_per_window
-        self.windows = windows
-        self.windows_leaked = 0
-        self.released = False
-        self._ballast: List[bytearray] = []
-
-    @classmethod
-    def parse(cls, spec: str) -> "LeakDrill":
-        """``BYTES:WINDOWS`` (e.g. ``4194304:20``) -> drill."""
-        parts = spec.split(":")
-        if len(parts) != 2:
-            raise ValueError(
-                f"--drill-leak takes BYTES:WINDOWS, got {spec!r}"
-            )
-        try:
-            ballast, windows = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(
-                f"--drill-leak takes BYTES:WINDOWS, got {spec!r}"
-            ) from None
-        return cls(ballast, windows)
-
-    @property
-    def retained_bytes(self) -> int:
-        return sum(len(chunk) for chunk in self._ballast)
-
-    def on_window_close(self) -> None:
-        if self.released:
-            return
-        if self.windows_leaked >= self.windows:
-            retained = self.retained_bytes
-            self._ballast.clear()
-            self.released = True
-            log_event(
-                _LOG, logging.INFO, "leak_drill.release",
-                windows=self.windows_leaked,
-                released=format_bytes(retained),
-            )
-            return
-        # Touch every page so the ballast is resident, not just mapped.
-        chunk = bytearray(self.bytes_per_window)
-        for offset in range(0, len(chunk), 4096):
-            chunk[offset] = 1
-        self._ballast.append(chunk)
-        self.windows_leaked += 1

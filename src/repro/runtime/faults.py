@@ -19,19 +19,27 @@ them.  Design rules:
   every process, every run.
 * **Fire-once across processes.**  A SIGKILL'd pool worker loses its
   memory, so in-memory counters cannot bound firings.  An activated
-  plan claims each firing by exclusively creating a mark file in its
-  ``state_dir`` (``O_CREAT | O_EXCL`` -- atomic on POSIX), which both
-  bounds ``times`` across every worker process and gives the chaos
-  report its ground-truth injected count.
+  plan claims each bounded firing by exclusively creating a mark file
+  in its ``state_dir`` (``O_CREAT | O_EXCL`` -- atomic on POSIX),
+  which both bounds ``times`` across every worker process and gives
+  the chaos report its ground-truth injected count.  Unbounded faults
+  (``times`` omitted) need no claim and write no mark file: they are
+  counted in this process's in-memory ledger.
+* **One hook.**  ``cellspot all`` / ``serve`` / ``serve-scale
+  --fault-plan FILE`` arm a plan for the whole run (with a per-run
+  ledger directory); pool workers and the serving plane's builder and
+  workers re-arm it on start (:func:`pool_initializer`), so ``times``
+  holds across every process of the run.
 * **Free when off.**  :func:`fault_point` is a module-global ``None``
-  check when no plan is active; per-event paths additionally gate the
-  wrapper itself (:func:`maybe_chaotic`) so disabled injection costs
-  nothing measurable (pinned < 2% by ``bench_chaos_overhead``).
+  check when no plan is active; per-item paths additionally gate the
+  wrapper itself (:func:`armed`, :func:`maybe_chaotic`) so disabled
+  injection costs nothing measurable (pinned < 2% by
+  ``bench_chaos_overhead``).
 
-Fault kinds and the layer expected to heal them:
+Fault kinds and the layer expected to heal (or observe) them:
 
 =============== ==================== ================================
-kind            typical site         healed by
+kind            typical site         healed / observed by
 =============== ==================== ================================
 worker_crash    executor.shard       pool rebuild + shard resubmit
 worker_hang     executor.shard       per-shard timeout + retry
@@ -39,9 +47,19 @@ slow_shard      executor.shard       straggler hedging (optional)
 torn_write      cache.store /        digest verify -> quarantine ->
                 stream.snapshot      regenerate / SnapshotError
 stall           stream.source /      bounded drain still completes /
-                serve.ingest         admission control sheds load
-error           serve.refresh        circuit breaker + stale answers
+                serve.ingest /       admission control sheds load /
+                scale.lookup         worker-latency-skew alert
+error           serve.refresh /      circuit breaker + stale answers /
+                experiment.<id>      guard isolates the experiment
+leak            stream.window        rss-growth / memory-budget alerts
+release         stream.window        ... which then resolve
 =============== ==================== ================================
+
+``scale.lookup`` sits inside a worker's timed lookup and is indexed by
+the plane-wide spawn ordinal (slot ``k``'s first incarnation is ``k``,
+respawns count on from the worker count), so ``at = 0`` afflicts slot
+0 until it is respawned.  ``stream.window`` is indexed by the ordinal
+of the window that just closed.
 """
 
 from __future__ import annotations
@@ -52,13 +70,13 @@ import os
 import signal
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Union
 
 _VALID_KINDS = (
     "worker_crash", "worker_hang", "slow_shard", "torn_write",
-    "stall", "error",
+    "stall", "error", "leak", "release",
 )
 
 #: Sites wired through the codebase (documented; plans may name any
@@ -72,10 +90,16 @@ KNOWN_SITES = (
     "serve.request",
     "serve.ingest",
     "serve.refresh",
+    "stream.window",
     "scale.publish",
     "scale.dispatch",
     "scale.worker",
+    "scale.lookup",
 )
+
+#: Site families: ``experiment.<id>`` is one site per registered
+#: experiment, passed inside its guarded call.
+SITE_FAMILIES = ("experiment.",)
 
 
 class FaultPlanError(ValueError):
@@ -101,6 +125,8 @@ class FaultSpec:
     delay_s: float = 0.05
     #: Seeded firing probability (1.0 = always when site/at match).
     probability: float = 1.0
+    #: Page-touched ballast a ``leak`` fault retains per firing.
+    size_bytes: int = 0
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -124,6 +150,14 @@ class FaultSpec:
             raise FaultPlanError(
                 f"fault {self.name!r}: probability must be in [0, 1]"
             )
+        if self.kind == "leak" and self.size_bytes < 1:
+            raise FaultPlanError(
+                f"fault {self.name!r}: a leak needs size_bytes >= 1"
+            )
+        if self.kind != "leak" and self.size_bytes:
+            raise FaultPlanError(
+                f"fault {self.name!r}: size_bytes only applies to leak"
+            )
 
     @classmethod
     def from_dict(cls, raw: Dict) -> "FaultSpec":
@@ -131,10 +165,7 @@ class FaultSpec:
             raise FaultPlanError(
                 f"fault must be a table/object, got {raw!r}"
             )
-        known = {
-            "name", "site", "kind", "at", "times", "delay_s", "probability",
-        }
-        unknown = set(raw) - known
+        unknown = set(raw) - {spec_field.name for spec_field in fields(cls)}
         if unknown:
             raise FaultPlanError(
                 f"fault {raw.get('name', '?')!r}: unknown keys "
@@ -150,6 +181,7 @@ class FaultSpec:
             times = None if raw.get("times") is None else int(raw["times"])
             delay_s = float(raw.get("delay_s", 0.05))
             probability = float(raw.get("probability", 1.0))
+            size_bytes = int(raw.get("size_bytes", 0))
         except (TypeError, ValueError) as exc:
             raise FaultPlanError(
                 f"fault {raw.get('name', '?')!r}: non-numeric field: {exc}"
@@ -162,6 +194,7 @@ class FaultSpec:
             times=times,
             delay_s=delay_s,
             probability=probability,
+            size_bytes=size_bytes,
         )
 
 
@@ -183,9 +216,6 @@ class FaultPlan:
             faults=[f for f in self.faults if f.site.startswith(prefix)],
             state_dir=self.state_dir,
         )
-
-    def sites(self) -> List[str]:
-        return sorted({f.site for f in self.faults})
 
 
 def load_fault_plan(path: Union[str, Path]) -> FaultPlan:
@@ -283,14 +313,27 @@ def default_fault_plan() -> FaultPlan:
 #: The active plan; ``None`` keeps every fault_point a single global
 #: load + compare (the disabled fast path the overhead bench pins).
 _ACTIVE: Optional[FaultPlan] = None
-#: In-memory firing ledger, used when the plan has no state_dir.
+#: Firings per fault name in this process (the whole ledger when the
+#: plan has no state_dir; the unbounded faults' ledger when it has).
 _LOCAL_FIRES: Dict[str, int] = {}
-#: True in executor pool workers (worker_crash may SIGKILL only there).
+#: Ballast retained by ``leak`` firings until a ``release`` fires.
+_BALLAST: List[bytearray] = []
+#: True in child processes (worker_crash may SIGKILL only there).
 _IS_WORKER = False
 
 
 def active_plan() -> Optional[FaultPlan]:
     return _ACTIVE
+
+
+def armed(site: str) -> bool:
+    """True when the active plan names ``site``.
+
+    Per-item loops test this once and add their fault point only when
+    it holds, so an unarmed run executes no injection code per item.
+    """
+    plan = _ACTIVE
+    return plan is not None and any(spec.site == site for spec in plan.faults)
 
 
 def activate(
@@ -312,9 +355,11 @@ def activate(
 
 
 def deactivate() -> None:
+    """Disarm; drops any leak ballast so a drill cannot outlive it."""
     global _ACTIVE
     _ACTIVE = None
     _LOCAL_FIRES.clear()
+    _BALLAST.clear()
 
 
 @contextmanager
@@ -329,15 +374,13 @@ def chaos(
         deactivate()
 
 
-def mark_worker_process() -> None:
-    """Flag this process as a pool worker (enables real SIGKILL)."""
+def pool_initializer(plan: Optional[FaultPlan]) -> None:
+    """Child-process entry: flag this process as a worker (enables a
+    real SIGKILL) and re-arm the parent's plan.  The executor's pool
+    initializer, and the first call of the serving plane's builder
+    and workers."""
     global _IS_WORKER
     _IS_WORKER = True
-
-
-def pool_initializer(plan: Optional[FaultPlan]) -> None:
-    """``ProcessPoolExecutor`` initializer: re-arm the plan in workers."""
-    mark_worker_process()
     if plan is not None:
         activate(plan)
 
@@ -352,17 +395,26 @@ def _prf(seed: int, name: str, index: Optional[int]) -> float:
 
 
 def _claim_fire(plan: FaultPlan, spec: FaultSpec) -> bool:
-    """Atomically claim one firing slot; False when ``times`` is spent."""
-    if spec.times is None:
-        return True
-    if plan.state_dir is None:
-        fired = _LOCAL_FIRES.get(spec.name, 0)
-        if fired >= spec.times:
+    """Claim one firing slot and record it; False when ``times`` is spent.
+
+    Bounded faults of a plan with a ``state_dir`` claim a mark file;
+    everything else is counted in the in-memory ledger only, so an
+    unbounded per-query fault writes nothing per firing.
+    """
+    fired = _LOCAL_FIRES.get(spec.name, 0)
+    if spec.times is not None:
+        if plan.state_dir is not None:
+            if not _claim_mark(plan.state_dir, spec):
+                return False
+        elif fired >= spec.times:
             return False
-        _LOCAL_FIRES[spec.name] = fired + 1
-        return True
+    _LOCAL_FIRES[spec.name] = fired + 1
+    return True
+
+
+def _claim_mark(state_dir: str, spec: FaultSpec) -> bool:
     for slot in range(spec.times):
-        mark = Path(plan.state_dir) / f"{spec.name}.fire{slot}"
+        mark = Path(state_dir) / f"{spec.name}.fire{slot}"
         try:
             fd = os.open(str(mark), os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
@@ -398,7 +450,17 @@ def _execute(spec: FaultSpec, path: Optional[Union[str, Path]]) -> None:
         if path is not None:
             _tear(path)
         return
-    raise InjectedFault(spec.name)
+    if spec.kind == "error":
+        raise InjectedFault(spec.name)
+    if spec.kind == "leak":
+        # A one-byte fill is a memset: every page is resident, not
+        # just mapped, so the process RSS really climbs.
+        _BALLAST.append(bytearray(b"\x01") * spec.size_bytes)
+        return
+    if spec.kind == "release":
+        _BALLAST.clear()
+        return
+    raise FaultPlanError(f"fault {spec.name!r}: no handler for {spec.kind!r}")
 
 
 def fault_point(
@@ -426,14 +488,18 @@ def fault_point(
             continue
         if not _claim_fire(plan, spec):
             continue
-        _observe_injection(spec, site, index)
+        _observe_injection(
+            spec, site, index, log=_LOCAL_FIRES[spec.name] == 1
+        )
         _execute(spec, path)
 
 
 def _observe_injection(
-    spec: FaultSpec, site: str, index: Optional[int]
+    spec: FaultSpec, site: str, index: Optional[int], log: bool
 ) -> None:
-    """Count the firing (metrics + structured log), never raising."""
+    """Count every firing; log only ``log`` ones (a fault's first in
+    this process, so a per-query fault logs once, not per query).
+    Never raises."""
     try:
         from repro.obs.metrics import instrument
 
@@ -443,6 +509,8 @@ def _observe_injection(
         ).inc()
     except Exception:  # noqa: BLE001 -- injection must not need obs
         pass
+    if not log:
+        return
     try:
         import logging
 
@@ -475,21 +543,21 @@ def maybe_chaotic(events: Iterable) -> Iterable:
     plan the caller gets its original iterable back -- not a wrapper
     generator -- so disabled chaos adds nothing per event.
     """
-    plan = _ACTIVE
-    if plan is None or not any(
-        spec.site == "stream.source" for spec in plan.faults
-    ):
-        return events
-    return chaotic_events(events)
+    return chaotic_events(events) if armed("stream.source") else events
 
 
 def injected_counts(plan: FaultPlan) -> Dict[str, int]:
-    """Ground-truth firings per fault name, read from the ledger."""
+    """Ground-truth firings per fault name.
+
+    Bounded faults of a plan with a ``state_dir`` are read from its
+    mark files (every process of the run); everything else from this
+    process's in-memory ledger.
+    """
     counts = {spec.name: 0 for spec in plan.faults}
+    for spec in plan.faults:
+        if spec.times is None or plan.state_dir is None:
+            counts[spec.name] = _LOCAL_FIRES.get(spec.name, 0)
     if plan.state_dir is None:
-        for name, fired in _LOCAL_FIRES.items():
-            if name in counts:
-                counts[name] = fired
         return counts
     state = Path(plan.state_dir)
     if not state.is_dir():

@@ -29,9 +29,12 @@ query`` open their sources in-process; only they may pass the path
 from __future__ import annotations
 
 import sys
-from typing import Dict, Iterator, Optional
+from typing import TYPE_CHECKING, Dict, Iterator, Optional
 
 from repro.scale.snapshot import SnapshotCatalog
+
+if TYPE_CHECKING:
+    from repro.runtime.faults import FaultPlan
 
 
 def _jsonl_file_events(path: str, policy) -> Iterator:
@@ -93,6 +96,7 @@ def builder_main(
     max_events: Optional[int] = None,
     obs_dir: Optional[str] = None,
     trace_id: Optional[str] = None,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> None:
     """Process entry point: ingest, publish, prune, exit on drain.
 
@@ -100,14 +104,15 @@ def builder_main(
     span -- stamped with the new generation number -- under the plane's
     run ``trace_id``, into ``<obs_dir>/builder`` span segments that
     ``cellspot postmortem`` joins with front and worker spans.
+    ``fault_plan`` is the plane's armed plan, re-armed here.
     """
     import time
 
-    from repro.runtime.faults import mark_worker_process
+    from repro.runtime.faults import pool_initializer
     from repro.stream.engine import StreamEngine
     from repro.stream.windows import WindowPolicy
 
-    mark_worker_process()
+    pool_initializer(fault_plan)
     policy = WindowPolicy(window_events=window_events, decay=1.0)
     engine = StreamEngine(policy=policy)
     catalog = SnapshotCatalog(catalog_dir)

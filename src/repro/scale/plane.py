@@ -42,7 +42,7 @@ import time
 import uuid
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Union
 
 from repro.core.classifier import DEFAULT_THRESHOLD
 from repro.obs.metrics import (
@@ -50,7 +50,7 @@ from repro.obs.metrics import (
     MetricsRegistry,
     global_registry,
 )
-from repro.runtime.faults import fault_point
+from repro.runtime.faults import active_plan, fault_point
 from repro.runtime.logging import get_logger, log_event
 from repro.scale.builder import builder_main
 from repro.scale.snapshot import CatalogError, SnapshotCatalog
@@ -210,10 +210,6 @@ class PlaneConfig:
     obs_scrape_interval_s: float = 0.5
     #: Slots in each worker's crash flight-recorder ring.
     flight_records: int = 128
-    #: ``(slot, seconds)``: slow every query on that slot's *first*
-    #: incarnation by ``seconds`` -- a deliberate sick replica for
-    #: skew-alert drills.  A respawn of the slot runs at full speed.
-    drill_slow_worker: Optional[Tuple[int, float]] = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -234,12 +230,6 @@ class PlaneConfig:
             raise ValueError("obs_scrape_interval_s must be positive")
         if self.flight_records < 1:
             raise ValueError("flight_records must be >= 1")
-        if self.drill_slow_worker is not None:
-            slot, seconds = self.drill_slow_worker
-            if slot < 0 or slot >= self.workers:
-                raise ValueError("drill_slow_worker slot out of range")
-            if seconds <= 0:
-                raise ValueError("drill_slow_worker seconds must be positive")
 
 
 class WorkerHandle:
@@ -458,9 +448,10 @@ class ServingPlane:
             if self.config.obs_dir is not None
             else None
         )
-        #: Spawn count per slot -- the slow-worker drill only afflicts
-        #: a slot's first incarnation, so a respawn heals the skew.
-        self._incarnations: Dict[int, int] = {}
+        #: Workers spawned so far, plane-wide: the next one's spawn
+        #: ordinal (the ``scale.lookup`` fault index), so a fault at
+        #: ``at = k`` afflicts slot k's first incarnation only.
+        self._spawned = 0
         self._workers: List[WorkerHandle] = []
         self._idle: "asyncio.Queue[WorkerHandle]" = asyncio.Queue()
         self._pending = 0
@@ -490,6 +481,7 @@ class ServingPlane:
         if self.source_spec is not None:
             builder_kwargs = {
                 "min_api_hits": self.config.min_api_hits,
+                "fault_plan": active_plan(),
                 **self.builder_options,
             }
             if self._obs is not None:
@@ -532,30 +524,21 @@ class ServingPlane:
         path = str(
             self.catalog.root / f"worker-{slot}-{uuid.uuid4().hex[:8]}.sock"
         )
-        incarnation = self._incarnations.get(slot, 0)
-        self._incarnations[slot] = incarnation + 1
         kwargs = {
             "poll_interval_s": self.config.worker_poll_interval_s,
             "refresh_every": self.config.worker_refresh_every,
             "startup_timeout_s": self.config.startup_timeout_s,
             "slot": slot,
+            "spawn": self._spawned,
+            "fault_plan": active_plan(),
         }
+        self._spawned += 1
         if self._obs is not None:
             kwargs.update(
                 obs_dir=str(self._obs.root),
                 trace_id=self._obs.trace_id,
                 obs_scrape_interval_s=self.config.obs_scrape_interval_s,
                 flight_records=self.config.flight_records,
-            )
-        drill = self.config.drill_slow_worker
-        if drill is not None and drill[0] == slot and incarnation == 0:
-            kwargs["slow_query_s"] = drill[1]
-            log_event(
-                logger,
-                logging.WARNING,
-                "scale.drill.slow_worker",
-                slot=slot,
-                slow_query_s=drill[1],
             )
         process = self._ctx.Process(
             target=worker_main,

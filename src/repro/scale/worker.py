@@ -40,7 +40,12 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
-from repro.runtime.faults import fault_point, mark_worker_process
+from repro.runtime.faults import (
+    FaultPlan,
+    armed,
+    fault_point,
+    pool_initializer,
+)
 from repro.scale.snapshot import IndexHolder, SnapshotCatalog
 from repro.serve import protocol
 
@@ -48,17 +53,18 @@ from repro.serve import protocol
 ACCEPT_TIMEOUT_S = 30.0
 
 
-class _SlowIndex:
-    """The slow-worker drill: lookups sleep first, inside the timed
-    region, so the sick replica shows in its own latency histogram
-    (the ``worker-latency-skew`` rule's food)."""
+class _FaultyIndex:
+    """Lookups pass the ``scale.lookup`` fault site first, inside the
+    timed region, so an injected stall shows in this worker's own
+    latency histogram (the ``worker-latency-skew`` rule's food).  Only
+    used while a plan names the site."""
 
-    def __init__(self, index, delay_s: float) -> None:
+    def __init__(self, index, spawn: int) -> None:
         self._index = index
-        self._delay_s = delay_s
+        self._spawn = spawn
 
     def query(self, text):
-        time.sleep(self._delay_s)
+        fault_point("scale.lookup", index=self._spawn)
         return self._index.query(text)
 
 
@@ -166,7 +172,7 @@ class QueryWorker:
         refresh_every: int = 512,
         slot: int = 0,
         obs: Optional[WorkerObs] = None,
-        slow_query_s: float = 0.0,
+        spawn: int = 0,
     ) -> None:
         self.holder = IndexHolder(
             catalog, threshold=threshold, min_api_hits=min_api_hits
@@ -176,8 +182,8 @@ class QueryWorker:
         self.requests = 0
         self.slot = slot
         self.obs = obs
-        #: Drill knob: sleep this long inside every timed lookup.
-        self.slow_query_s = slow_query_s
+        #: Plane-wide spawn ordinal: the ``scale.lookup`` fault index.
+        self.spawn = spawn
 
     def maybe_refresh(self, force: bool = False) -> bool:
         if not force and self.requests % self.refresh_every:
@@ -226,8 +232,8 @@ class QueryWorker:
         if active is None:
             return protocol.error("no snapshot generation published yet")
         index = active[2]
-        if self.slow_query_s:
-            index = _SlowIndex(index, self.slow_query_s)
+        if armed("scale.lookup"):
+            index = _FaultyIndex(index, self.spawn)
         latency = self.metrics.get("scale_worker_query_latency_seconds")
         counter = self.metrics.get("scale_worker_queries_total")
         if timings is None:
@@ -357,10 +363,15 @@ def worker_main(
     trace_id: Optional[str] = None,
     obs_scrape_interval_s: float = 0.5,
     flight_records: int = 128,
-    slow_query_s: float = 0.0,
+    spawn: int = 0,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> None:
-    """Process entry point: serve one front connection until EOF."""
-    mark_worker_process()
+    """Process entry point: serve one front connection until EOF.
+
+    ``spawn`` is the plane-wide spawn ordinal; ``fault_plan`` is the
+    plane's armed plan, re-armed here.
+    """
+    pool_initializer(fault_plan)
     catalog = SnapshotCatalog(catalog_dir)
     worker = QueryWorker(
         catalog,
@@ -368,7 +379,7 @@ def worker_main(
         min_api_hits=min_api_hits,
         refresh_every=refresh_every,
         slot=slot,
-        slow_query_s=slow_query_s,
+        spawn=spawn,
     )
     obs: Optional[WorkerObs] = None
     if obs_dir is not None:

@@ -102,10 +102,6 @@ class StreamEngine:
         self._events_flushed = 0
         #: Optional census drift monitor (attach_monitor).
         self.monitor = None
-        #: Optional :class:`repro.obs.resources.LeakDrill` -- retains
-        #: ballast at each window close so the rss-growth alert can be
-        #: exercised end to end (process state, like ``monitor``).
-        self.leak_drill = None
 
     @property
     def policy(self) -> WindowPolicy:
@@ -149,8 +145,9 @@ class StreamEngine:
         )
         self.events_consumed += 1
         if closed:
-            if self.leak_drill is not None:
-                self.leak_drill.on_window_close()
+            # Window-close fault site (leak/release drills), indexed by
+            # the ordinal of the window that just closed.
+            fault_point("stream.window", index=self.state.windows_closed - 1)
             self._flush_metrics(window_closed=True)
             log_event(
                 _LOG, logging.DEBUG, "window.advance",
@@ -259,10 +256,9 @@ class StreamEngine:
         engine.state = WindowedSubnetState.from_snapshot(raw["state"])
         engine.month = raw["month"]
         engine.events_consumed = raw["events_consumed"]
-        # Monitors and leak drills are process state, not snapshot
-        # state; re-attach (attach_monitor / leak_drill) after resume.
+        # Monitors are process state, not snapshot state; re-attach
+        # (attach_monitor) after resume.
         engine.monitor = None
-        engine.leak_drill = None
         # Events restored from a snapshot were counted by the process
         # that consumed them; this process's counter starts at the
         # resume offset so totals reflect work done *here*.

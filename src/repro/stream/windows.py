@@ -99,11 +99,6 @@ class WindowPolicy:
         if not 0 < self.decay <= 1:
             raise ValueError("decay must be in (0, 1]")
 
-    @property
-    def is_exact(self) -> bool:
-        """True when a drained stream equals the batch aggregate."""
-        return self.decay == 1.0
-
 
 class WindowedSubnetState:
     """Open window + decayed aggregate over per-subnet counters."""

@@ -9,6 +9,7 @@ checkpointed crash-then-resume loop.
 """
 
 import io
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +25,11 @@ from repro.runtime.policies import (
     IngestPolicy,
 )
 from repro.runtime.quarantine import QuarantineSink, read_quarantine
+
+FAIL_EXPERIMENT_PLAN = (
+    Path(__file__).resolve().parents[1]
+    / "examples" / "fault_plans" / "fail-experiment.json"
+)
 
 
 def p(text):
@@ -284,34 +290,43 @@ class TestCrashThenResume:
 
     ARGS = ["--scale", "0.001", "--seed", "7"]
 
-    def test_checkpoint_resume_round_trip(self, tmp_path, capsys, monkeypatch):
+    def test_checkpoint_resume_round_trip(self, tmp_path, capsys):
         from repro.cli import main
-        from repro.experiments.base import INJECT_FAIL_ENV
         from repro.runtime.checkpoint import CheckpointStore
 
         ckpt = tmp_path / "ckpt"
-        # Crash run: fig1 is forced to raise inside the guard.
-        monkeypatch.setenv(INJECT_FAIL_ENV, "fig1")
-        code = main(["all", "--checkpoint", str(ckpt)] + self.ARGS)
+        # Crash run: the example plan forces fig2 to raise inside the
+        # guard (the plan CI's fault-isolation smoke arms too).
+        code = main(["all", "--checkpoint", str(ckpt),
+                     "--fault-plan", str(FAIL_EXPERIMENT_PLAN)] + self.ARGS)
         out = capsys.readouterr().out
         assert code == 1  # the injected failure is reported
-        assert "injected failure" in out
+        assert "InjectedFault: fail-fig2" in out
+        assert "1 failed" in out
         assert "table8" in out  # later experiments still ran
         store = CheckpointStore(ckpt)
-        assert "fig1" not in store.completed()
+        assert "fig2" not in store.completed()
         assert "table8" in store.completed()
         manifest = store.load_manifest()
         assert manifest is not None
         assert manifest.dataset_digests.keys() == {"beacon", "demand"}
         assert any(k.startswith("pipeline.") for k in manifest.stage_timings)
 
-        # Resume: the failure is gone; only fig1 runs, the rest skip.
-        monkeypatch.delenv(INJECT_FAIL_ENV)
+        # Resume, unarmed: only fig2 runs, the rest skip.
         code = main(["all", "--checkpoint", str(ckpt)] + self.ARGS)
         out = capsys.readouterr().out
         assert code == 0
         assert "24 skipped via checkpoint" in out
-        assert CheckpointStore(ckpt).is_done("fig1")
+        assert CheckpointStore(ckpt).is_done("fig2")
+
+    def test_unreadable_fault_plan_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        bad = tmp_path / "plan.json"
+        bad.write_text('{"faults": [{"name": "x", "site": "s"}]}')
+        code = main(["all", "--fault-plan", str(bad)] + self.ARGS)
+        assert code == 2
+        assert "missing 'kind'" in capsys.readouterr().err
 
     def test_checkpoint_refuses_a_different_run(self, tmp_path, capsys):
         from repro.cli import main

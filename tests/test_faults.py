@@ -2,19 +2,26 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import logging
+from pathlib import Path
 
 import pytest
 
 from repro.runtime.faults import (
+    _VALID_KINDS,
+    KNOWN_SITES,
+    SITE_FAMILIES,
     FaultPlan,
     FaultPlanError,
     FaultSpec,
     InjectedFault,
-    KNOWN_SITES,
     _claim_fire,
+    _execute,
     _prf,
     active_plan,
+    armed,
     chaos,
     default_fault_plan,
     fault_point,
@@ -22,6 +29,8 @@ from repro.runtime.faults import (
     load_fault_plan,
     maybe_chaotic,
 )
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 class TestFaultSpec:
@@ -195,6 +204,47 @@ class TestFiring:
         spec = FaultSpec(name="n", site="s", kind="stall", times=None)
         assert _claim_fire(plan, spec) and _claim_fire(plan, spec)
 
+    @pytest.mark.parametrize("ledger", [False, True])
+    def test_unbounded_firings_are_counted(self, tmp_path, ledger):
+        plan = FaultPlan(name="t", faults=[
+            FaultSpec(name="a", site="x.y", kind="stall", times=None,
+                      delay_s=0.0),
+        ])
+        state_dir = tmp_path / "state" if ledger else None
+        with chaos(plan, state_dir=state_dir):
+            for _ in range(3):
+                fault_point("x.y")
+            assert injected_counts(plan) == {"a": 3}
+        if ledger:
+            # A per-query fault must not write a mark file per firing.
+            assert list(state_dir.iterdir()) == []
+
+    def test_first_firing_per_process_is_logged(self):
+        records = []
+        handler = logging.Handler()
+        handler.emit = records.append
+        logger = logging.getLogger("cellspot.runtime.faults")
+        logger.addHandler(handler)
+        level = logger.level
+        logger.setLevel(logging.WARNING)
+        plan = FaultPlan(name="t", faults=[
+            FaultSpec(name="a", site="x.y", kind="stall", times=None,
+                      delay_s=0.0),
+            FaultSpec(name="b", site="x.y", kind="stall", times=2,
+                      delay_s=0.0),
+        ])
+        try:
+            with chaos(plan):
+                for _ in range(5):
+                    fault_point("x.y")
+                assert injected_counts(plan) == {"a": 5, "b": 2}
+        finally:
+            logger.removeHandler(handler)
+            logger.setLevel(level)
+        logged = [record.getMessage() for record in records]
+        assert len(logged) == 2
+        assert "fault=a" in logged[0] and "fault=b" in logged[1]
+
 
 class TestStreamWrapper:
     def test_maybe_chaotic_returns_original_when_inactive(self):
@@ -223,3 +273,80 @@ class TestStreamWrapper:
                 for event in wrapped:
                     seen.append(event)
             assert seen == [0, 1, 2, 3, 4]
+
+
+class TestArmedGate:
+    def test_armed_only_for_named_sites(self):
+        assert not armed("scale.lookup")
+        plan = FaultPlan(name="t", faults=[
+            FaultSpec(name="a", site="scale.lookup", kind="stall"),
+        ])
+        with chaos(plan):
+            assert armed("scale.lookup")
+            assert not armed("scale.worker")
+        assert not armed("scale.lookup")
+
+
+def _fault_point_sites():
+    """(literal sites, f-string prefixes) passed to fault_point in src/."""
+    literals, prefixes = set(), set()
+    for path in (REPO / "src").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "fault_point"
+                and node.args
+            ):
+                continue
+            site = node.args[0]
+            if isinstance(site, ast.Constant):
+                literals.add(site.value)
+            elif isinstance(site, ast.JoinedStr):
+                head = site.values[0]
+                prefixes.add(head.value if isinstance(head, ast.Constant) else "")
+            else:
+                raise AssertionError(
+                    f"{path}:{node.lineno}: fault_point site is neither a "
+                    "literal nor an f-string"
+                )
+    return literals, prefixes
+
+
+class TestSiteRegistry:
+    def test_every_call_site_is_registered(self):
+        literals, prefixes = _fault_point_sites()
+        assert literals and prefixes
+        assert literals <= set(KNOWN_SITES)
+        assert prefixes <= set(SITE_FAMILIES)
+
+    def test_every_registered_site_has_a_call_site(self):
+        literals, prefixes = _fault_point_sites()
+        assert set(KNOWN_SITES) <= literals
+        assert set(SITE_FAMILIES) <= prefixes
+
+    @pytest.mark.parametrize("kind", _VALID_KINDS)
+    def test_every_kind_is_executed(self, kind, monkeypatch):
+        import repro.runtime.faults as faults
+
+        monkeypatch.setattr(faults, "_IS_WORKER", False)
+        spec = FaultSpec(
+            name="k", site="x.y", kind=kind, delay_s=0.0,
+            size_bytes=1 if kind == "leak" else 0,
+        )
+        try:
+            _execute(spec, None)
+        except InjectedFault:
+            assert kind in ("error", "worker_crash")
+        faults._BALLAST.clear()
+
+    def test_example_plans_load(self):
+        plans = sorted((REPO / "examples" / "fault_plans").glob("*.json"))
+        assert {path.stem for path in plans} >= {
+            "fail-experiment", "slow-worker", "leak",
+        }
+        for path in plans:
+            plan = load_fault_plan(path)
+            for spec in plan.faults:
+                assert spec.site in KNOWN_SITES or spec.site.startswith(
+                    SITE_FAMILIES
+                ), spec.site

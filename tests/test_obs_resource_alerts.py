@@ -2,8 +2,8 @@
 
 Unit coverage drives the rule machinery with synthetic samples; the
 end-to-end class then proves the whole chain on a *real* leak -- a
-``LeakDrill`` attached to the stream engine retains page-touched
-ballast every window close, the ``ResourceSampler`` reads the climbing
+fault plan's ``leak`` fault at the stream engine's ``stream.window``
+site retains page-touched ballast every window close, the ``ResourceSampler`` reads the climbing
 RSS out of ``/proc``, the scraper feeds a live ``AlertEngine``, and
 both new rules fire and resolve.  The post-mortem story (alert log
 episodes + time-series reader) must agree with the live one, same as
@@ -30,12 +30,14 @@ from repro.obs.alerts import (
     read_alert_log,
 )
 from repro.obs.metrics import reset_global_registry
-from repro.obs.resources import LeakDrill, ResourceSampler, read_statm
+from repro.obs.resources import ResourceSampler, read_statm
 from repro.obs.timeseries import (
     MetricScraper,
     TimeSeriesReader,
     TimeSeriesStore,
 )
+from repro.runtime import faults
+from repro.runtime.faults import FaultPlan, FaultSpec, chaos, injected_counts
 from repro.stream import StreamEngine, WindowPolicy
 
 MIB = 1024 * 1024
@@ -303,15 +305,27 @@ class TestEndToEndResourceAlerting:
                     closed += 1
 
         feed(8)  # stable baseline: flat RSS, both rules ok
-        engine.leak_drill = LeakDrill(DRILL_BYTES, DRILL_WINDOWS)
-        feed(DRILL_WINDOWS + 1)  # leak, then the release window
+        # Armed from window 8: leak on windows 8..8+DRILL_WINDOWS-1,
+        # release everything on the next one.
+        plan = FaultPlan(name="leak", faults=[
+            FaultSpec(name="leak", site="stream.window", kind="leak",
+                      times=DRILL_WINDOWS, size_bytes=DRILL_BYTES),
+            FaultSpec(name="release", site="stream.window",
+                      kind="release", at=8 + DRILL_WINDOWS),
+        ])
+        with chaos(plan):
+            feed(DRILL_WINDOWS + 1)  # leak, then the release window
+            fired = injected_counts(plan)
+            retained = sum(len(chunk) for chunk in faults._BALLAST)
         feed(12)  # post-release: growth history rebuilds flat, budget clears
+        return fired, retained
 
     def test_drill_fires_and_release_resolves(self, plane):
         engine, scraper, alerts, _sampler, tmp_path = plane
-        self._run_leak(engine, scraper)
+        fired, retained = self._run_leak(engine, scraper)
 
-        assert engine.leak_drill.released
+        assert fired == {"leak": DRILL_WINDOWS, "release": 1}
+        assert retained == 0
 
         by_rule = {}
         for event in alerts.events:

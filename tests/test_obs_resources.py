@@ -9,6 +9,7 @@ import os
 import signal
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,6 @@ from repro.obs.metrics import (
     reset_global_registry,
 )
 from repro.obs.resources import (
-    LeakDrill,
     ResourceSampler,
     count_open_fds,
     read_io,
@@ -31,6 +31,16 @@ from repro.obs.resources import (
     total_memory_bytes,
 )
 from repro.obs.sampler import SamplingProfiler
+from repro.runtime import faults
+from repro.runtime.faults import (
+    FaultPlan,
+    FaultPlanError,
+    FaultSpec,
+    chaos,
+    fault_point,
+    injected_counts,
+    load_fault_plan,
+)
 from repro.obs.timeseries import MetricScraper, TimeSeriesStore
 from repro.obs.trace import _SPAN_EXIT_HOOKS, get_tracer, reset_tracer
 
@@ -359,43 +369,81 @@ class TestLabeledGauge:
         assert null.values() == {}
 
 
-class TestLeakDrill:
-    def test_parse(self):
-        drill = LeakDrill.parse("4096:3")
-        assert drill.bytes_per_window == 4096
-        assert drill.windows == 3
+class TestLeakFault:
+    """The ``leak``/``release`` fault kinds behind the rss-growth drill."""
+
+    @staticmethod
+    def _plan(size_bytes, windows):
+        return FaultPlan(name="leak", faults=[
+            FaultSpec(name="leak", site="stream.window", kind="leak",
+                      times=windows, size_bytes=size_bytes),
+            FaultSpec(name="release", site="stream.window", kind="release",
+                      at=windows),
+        ])
+
+    @staticmethod
+    def _retained():
+        return sum(len(chunk) for chunk in faults._BALLAST)
+
+    def test_example_plan_parses(self):
+        plan = load_fault_plan(
+            Path(__file__).resolve().parents[1]
+            / "examples" / "fault_plans" / "leak.json"
+        )
+        leak, release = plan.faults
+        assert (leak.kind, leak.size_bytes, leak.times) == (
+            "leak", 8 * 1024 * 1024, 100
+        )
+        assert (release.kind, release.at) == ("release", 100)
 
     @pytest.mark.parametrize(
-        "spec", ["", "4096", "4096:3:9", "a:b", "4096:", "0:3", "4096:0"]
+        "extra",
+        [
+            pytest.param({}, id="missing-size"),
+            pytest.param({"size_bytes": 0}, id="zero-size"),
+            pytest.param({"size_bytes": -4096}, id="negative-size"),
+            pytest.param({"size_bytes": "a"}, id="non-numeric-size"),
+            pytest.param({"size_bytes": 4096, "times": 0}, id="zero-times"),
+            pytest.param({"size_bytes": 4096, "windows": 3},
+                         id="unknown-key"),
+            pytest.param({"size_bytes": 4096, "kind": "release"},
+                         id="size-on-release"),
+        ],
     )
-    def test_parse_rejects(self, spec):
-        with pytest.raises(ValueError):
-            LeakDrill.parse(spec)
+    def test_bad_leak_specs_rejected(self, extra):
+        raw = {"name": "l", "site": "stream.window", "kind": "leak", **extra}
+        with pytest.raises(FaultPlanError):
+            FaultSpec.from_dict(raw)
 
     def test_retain_then_release(self):
-        drill = LeakDrill(4096, 3)
-        for expect in (4096, 8192, 12288):
-            drill.on_window_close()
-            assert drill.retained_bytes == expect
-        assert not drill.released
-        drill.on_window_close()  # the release window
-        assert drill.released
-        assert drill.retained_bytes == 0
-        drill.on_window_close()  # stays released, no re-leak
-        assert drill.retained_bytes == 0
+        with chaos(self._plan(4096, 3)) as plan:
+            for window, expect in enumerate((4096, 8192, 12288)):
+                fault_point("stream.window", index=window)
+                assert self._retained() == expect
+            fault_point("stream.window", index=3)  # the release window
+            assert self._retained() == 0
+            fault_point("stream.window", index=4)  # no re-leak
+            assert self._retained() == 0
+            assert injected_counts(plan) == {"leak": 3, "release": 1}
 
-    def test_stream_engine_invokes_drill(self):
+    def test_disarming_drops_the_ballast(self):
+        with chaos(self._plan(4096, 3)):
+            fault_point("stream.window", index=0)
+            assert self._retained() == 4096
+        assert self._retained() == 0
+
+    def test_stream_engine_window_close_fires_the_site(self):
         from repro.stream import StreamEngine, WindowPolicy
         from tests.test_obs_e2e_alerting import _hit
 
         engine = StreamEngine(policy=WindowPolicy(window_events=10))
-        engine.leak_drill = LeakDrill(1024, 2)
-        for n in range(35):
-            engine.ingest(_hit(n % 5, n, True))
-        assert engine.windows_advanced == 3
-        # 2 leaked windows + the third close released the ballast.
-        assert engine.leak_drill.released
-        assert engine.leak_drill.retained_bytes == 0
+        with chaos(self._plan(1024, 2)) as plan:
+            for n in range(35):
+                engine.ingest(_hit(n % 5, n, True))
+            assert engine.windows_advanced == 3
+            # 2 leaked windows + the third close released the ballast.
+            assert injected_counts(plan) == {"leak": 2, "release": 1}
+            assert self._retained() == 0
 
 
 class TestSamplingProfiler:

@@ -12,6 +12,7 @@ from repro.runtime.checkpoint import (
     atomic_write_text,
     atomic_writer,
 )
+from repro.runtime.faults import FaultPlan, FaultSpec, chaos
 from repro.runtime.guard import (
     ExperimentOutcome,
     GuardConfig,
@@ -332,26 +333,29 @@ class TestManifest:
 class TestRunAllGuarded:
     """Integration with the experiment registry (shared session lab)."""
 
-    def test_injected_failure_is_isolated(self, lab, monkeypatch):
-        from repro.experiments.base import INJECT_FAIL_ENV, run_all_guarded
+    PLAN = FaultPlan(name="t", faults=[
+        FaultSpec(name="fail-table1", site="experiment.table1", kind="error"),
+    ])
 
-        monkeypatch.setenv(INJECT_FAIL_ENV, "table1")
-        outcomes = run_all_guarded(lab)
+    def test_injected_failure_is_isolated(self, lab):
+        from repro.experiments.base import run_all_guarded
+
+        with chaos(self.PLAN):
+            outcomes = run_all_guarded(lab)
         assert outcomes["table1"].status is OutcomeStatus.FAILED
-        assert "injected failure" in outcomes["table1"].error
+        assert "InjectedFault: fail-table1" in outcomes["table1"].error
         others = [o for eid, o in outcomes.items() if eid != "table1"]
         assert others and all(o.ok for o in others)
 
-    def test_checkpoint_marks_and_skips(self, lab, tmp_path, monkeypatch):
-        from repro.experiments.base import INJECT_FAIL_ENV, run_all_guarded
+    def test_checkpoint_marks_and_skips(self, lab, tmp_path):
+        from repro.experiments.base import run_all_guarded
 
         store = CheckpointStore(tmp_path / "ckpt")
-        monkeypatch.setenv(INJECT_FAIL_ENV, "table1")
-        first = run_all_guarded(lab, checkpoint=store)
+        with chaos(self.PLAN):
+            first = run_all_guarded(lab, checkpoint=store)
         assert not store.is_done("table1")
         assert store.is_done("table2")
 
-        monkeypatch.delenv(INJECT_FAIL_ENV)
         second = run_all_guarded(lab, checkpoint=store)
         assert second["table1"].ok
         assert second["table2"].status is OutcomeStatus.SKIPPED

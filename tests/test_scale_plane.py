@@ -24,6 +24,7 @@ import pytest
 
 from repro.cdn.beacon import BeaconConfig
 from repro.obs.metrics import MetricsRegistry
+from repro.runtime.faults import FaultPlan, FaultSpec, chaos, injected_counts
 from repro.scale.plane import (
     PlaneConfig,
     ServingPlane,
@@ -81,8 +82,6 @@ class TestPlaneConfig:
             {"stats_timeout_s": 0.0},
             {"obs_scrape_interval_s": 0.0},
             {"flight_records": 0},
-            {"drill_slow_worker": (4, 0.01)},  # slot out of range
-            {"drill_slow_worker": (0, 0.0)},
         ],
     )
     def test_rejects_bad_knobs(self, kwargs):
@@ -91,10 +90,6 @@ class TestPlaneConfig:
 
     def test_no_deadline_is_allowed(self):
         assert PlaneConfig(deadline_s=None).deadline_s is None
-
-    def test_drill_on_a_valid_slot(self):
-        config = PlaneConfig(workers=2, drill_slow_worker=(1, 0.005))
-        assert config.drill_slow_worker == (1, 0.005)
 
 
 class TestMergeHistogramDicts:
@@ -447,6 +442,81 @@ def test_plane_differential_and_respawn(engine, probes, tmp_path):
             tmp_path / "cat", tmp_path / "front.sock", service, probes
         )
     )
+
+
+# ---- a fault plan armed across the plane's processes ---------------------
+
+
+async def _plane_fault_scenario(catalog_dir, socket_path, query):
+    plane = ServingPlane(
+        catalog_dir,
+        config=PlaneConfig(
+            workers=2, max_pending=8, deadline_s=5.0,
+            startup_timeout_s=60.0,
+        ),
+        registry=MetricsRegistry(),
+    )
+    ready = asyncio.Event()
+    server_task = asyncio.create_task(
+        plane.serve(
+            socket_path=socket_path,
+            ready_callback=lambda _plane: ready.set(),
+        )
+    )
+    await asyncio.wait_for(ready.wait(), 90.0)
+    reader, writer = await asyncio.open_unix_connection(str(socket_path))
+
+    async def roundtrip(payload: dict) -> dict:
+        writer.write((json.dumps(payload) + "\n").encode())
+        await writer.drain()
+        return json.loads(await asyncio.wait_for(reader.readline(), 30.0))
+
+    replies = [await roundtrip({"op": "query", "q": query}) for _ in range(12)]
+    pids = [int(token) for token in plane.pid_file().read_text().split()]
+    spawned = plane._spawned
+    assert (await roundtrip({"op": "shutdown"}))["shutdown"] is True
+    writer.close()
+    await asyncio.wait_for(server_task, 30.0)
+    return replies, pids, spawned
+
+
+def test_fault_plan_fires_inside_spawned_workers(engine, probes, tmp_path):
+    """The plane hands its armed plan to every worker it spawns: a
+    ``scale.worker`` error fires once across both workers (the shared
+    ledger bounds ``times``), and a ``scale.lookup`` stall at spawn
+    ordinal 0 fires only in slot 0's worker."""
+    catalog = SnapshotCatalog(tmp_path / "cat")
+    catalog.publish(engine.ratio_table(1))
+    plan = FaultPlan(name="plane", faults=[
+        FaultSpec(name="fail-first-request", site="scale.worker",
+                  kind="error", at=0, times=1),
+        FaultSpec(name="slow-first-spawn", site="scale.lookup",
+                  kind="stall", at=0, times=2, delay_s=0.001),
+    ])
+    ledger = tmp_path / "ledger"
+    with chaos(plan, state_dir=ledger):
+        replies, pids, spawned = asyncio.run(
+            _plane_fault_scenario(
+                tmp_path / "cat", tmp_path / "front.sock", probes[0]
+            )
+        )
+        assert injected_counts(plan) == {
+            "fail-first-request": 1, "slow-first-spawn": 2,
+        }
+    failed = [reply for reply in replies if not reply["ok"]]
+    assert failed == [
+        {"ok": False, "error": "InjectedFault: fail-first-request"}
+    ]
+    assert spawned == 2 and len(pids) == 2
+
+    def firing_pids(name):
+        return {
+            int(mark.read_text()) for mark in ledger.glob(f"{name}.fire*")
+        }
+
+    assert firing_pids("fail-first-request") <= set(pids)
+    assert firing_pids("slow-first-spawn") == {pids[0]}
+    assert os.getpid() not in set(pids)
 
 
 # ---- distributed observability over real worker processes ----------------

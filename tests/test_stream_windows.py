@@ -58,10 +58,6 @@ class TestWindowPolicy:
         with pytest.raises(ValueError):
             WindowPolicy(decay=1.5)
 
-    def test_is_exact(self):
-        assert WindowPolicy(decay=1.0).is_exact
-        assert not WindowPolicy(decay=0.5).is_exact
-
 
 class TestWindowAdvancement:
     def test_window_closes_exactly_on_event_count(self):
